@@ -3,9 +3,10 @@
 Simulates the discrete-time seeking loop with a static relative-error
 trigger, its averaged counterpart, and the analysis checks (gradient
 expansion, Lyapunov decay, convergence envelopes) that tie the two together.
+Config files, experiment outputs and sweeps live in etseek.cli, which the
+package does not import, so that `python -m etseek.cli` runs it fresh.
 """
 
-from etseek._backend import backend_name
 from etseek.analysis import (
     DecayReport,
     EnvelopeCheck,
@@ -31,7 +32,6 @@ from etseek.average import (
     coefficients,
     min_inter_event_estimate,
 )
-from etseek.cli import ConfigError, ExperimentConfig, parse_config, run_experiment, sweep
 from etseek.escore import (
     EventEntry,
     EventLog,
@@ -63,7 +63,6 @@ __all__ = [
     "AvgRecord",
     "AvgState",
     "AvgTrajectory",
-    "ConfigError",
     "DecayReport",
     "EnvelopeCheck",
     "EnvelopeReport",
@@ -71,7 +70,6 @@ __all__ = [
     "EventLog",
     "EventStats",
     "ExpansionTerms",
-    "ExperimentConfig",
     "LoopSpec",
     "MapSpec",
     "SimState",
@@ -81,7 +79,6 @@ __all__ = [
     "ZenoEstimate",
     "avg_run",
     "avg_step",
-    "backend_name",
     "check_decay",
     "closed_form_between_events",
     "coefficients",
@@ -97,12 +94,9 @@ __all__ = [
     "lyapunov_sequence",
     "measurement_error",
     "min_inter_event_estimate",
-    "parse_config",
     "run",
-    "run_experiment",
     "should_trigger",
     "step",
-    "sweep",
     "truncated_gradient",
     "validate_assumption",
     "__version__",

@@ -1,17 +1,14 @@
-"""Pure-Python stepping kernels.
+"""Stepping kernels: the hot loops behind escore.run and average.avg_run.
 
-These are the hot loops behind escore.run and average.avg_run. A compiled
-twin lives in _ckernel.pyx; etseek._backend picks whichever imports. The two
-implementations must stay bit-for-bit identical: same operation order, no
-refactoring of expressions, libm sin/sqrt on both sides. Golden files and
-cross-backend tests rely on that.
+escore.step and average.avg_step are the readable definition of one
+iteration; these loops inline the same operations in the same order, and
+tests/test_kernels.py holds them to that composition bit for bit. Keep the
+operation order and expressions as they are: golden files depend on it.
 """
 
 from __future__ import annotations
 
 from math import sin, sqrt
-
-BACKEND = "pure"
 
 
 def run_loop(q_star, h_star, theta_star, a, omega, epsilon, gain_k,

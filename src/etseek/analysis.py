@@ -177,7 +177,12 @@ def _check_envelope(name, values, bound_at) -> EnvelopeCheck:
     first = None
     worst = 0.0
     for k, v in enumerate(values):
-        excess = v - bound_at(k)
+        try:
+            bound = bound_at(k)
+        except OverflowError:
+            # rho > 1 over a long horizon: the power overflows, the bound is inf
+            bound = math.inf
+        excess = v - bound
         if excess > 0.0:
             if first is None:
                 first = k

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from etseek import _kernel
 from etseek import trigger as _trigger
-from etseek._backend import kernel
 from etseek.escore import EventEntry, EventLog, LoopSpec, MapSpec
 
 _SCAN_LIMIT = 1_000_000
@@ -164,7 +164,7 @@ def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     if n_iters < 1:
         raise ValueError("avg_run requires n_iters >= 1")
     c_g, c_t = coefficients(map_spec, loop)
-    rows, raw_events = kernel.avg_loop(
+    rows, raw_events = _kernel.avg_loop(
         map_spec.h_star, c_g, c_t, trig.sigma, trig.alpha,
         theta_tilde0, n_iters)
     records = tuple(

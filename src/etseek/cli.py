@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from etseek import analysis, average, escore
@@ -22,25 +23,29 @@ from etseek.trigger import TriggerSpec, validate_assumption
 
 MODES = ("true-loop", "average", "both")
 
-_REQUIRED = {
-    "map": ("q_star", "h_star", "theta_star"),
-    "loop": ("a", "omega", "epsilon", "k"),
-    "trigger": ("sigma", "alpha"),
-    "run": ("theta_hat0", "n_iters"),
+# Every config key in file order, and where ExperimentConfig holds its value:
+# (spec attribute, field of that spec), or (None, field) for run-level keys.
+_FIELDS = {
+    "map.q_star": ("map_spec", "q_star"),
+    "map.h_star": ("map_spec", "h_star"),
+    "map.theta_star": ("map_spec", "theta_star"),
+    "loop.a": ("loop_spec", "amplitude_a"),
+    "loop.omega": ("loop_spec", "omega"),
+    "loop.epsilon": ("loop_spec", "epsilon"),
+    "loop.k": ("loop_spec", "gain_k"),
+    "trigger.sigma": ("trigger_spec", "sigma"),
+    "trigger.alpha": ("trigger_spec", "alpha"),
+    "run.theta_hat0": (None, "theta_hat0"),
+    "run.n_iters": (None, "n_iters"),
+    "run.mode": (None, "mode"),
+    "run.offset_constant": (None, "offset_constant"),
+    "run.out_dir": (None, "out_dir"),
 }
-_OPTIONAL = {
-    "map": (),
-    "loop": (),
-    "trigger": (),
-    "run": ("mode", "offset_constant", "out_dir"),
-}
+_SPECS = {"map_spec": MapSpec, "loop_spec": LoopSpec, "trigger_spec": TriggerSpec}
+_DEFAULTS = {"run.mode": "true-loop", "run.offset_constant": 0.3, "run.out_dir": "out"}
+_TEXT_KEYS = ("run.mode", "run.out_dir")
 
-SWEEPABLE = (
-    "map.q_star", "map.h_star", "map.theta_star",
-    "loop.a", "loop.omega", "loop.epsilon", "loop.k",
-    "trigger.sigma", "trigger.alpha",
-    "run.theta_hat0", "run.n_iters", "run.offset_constant",
-)
+SWEEPABLE = tuple(key for key in _FIELDS if key not in _TEXT_KEYS)
 
 # Reference study values the golden report compares against.
 _REFERENCE_EVENT_COUNT = 19
@@ -68,16 +73,10 @@ class ExperimentConfig:
     offset_constant: float
     out_dir: str
 
-    def scalar(self, key: str) -> float:
-        """Value of one dotted sweepable key."""
-        section, name = key.split(".", 1)
-        if section == "map":
-            return getattr(self.map_spec, name)
-        if section == "loop":
-            return getattr(self.loop_spec, {"a": "amplitude_a", "k": "gain_k"}.get(name, name))
-        if section == "trigger":
-            return getattr(self.trigger_spec, name)
-        return getattr(self, name)
+    def flat(self) -> dict:
+        """Every dotted config key mapped to its value in this config."""
+        return {key: getattr(getattr(self, part) if part else self, name)
+                for key, (part, name) in _FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,7 @@ class RunResult:
     event_stats: analysis.EventStats | None
     avg_event_stats: analysis.EventStats | None
     decay: analysis.DecayReport | None
+    final_theta: float | None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -106,94 +106,66 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    unknown = [s for s in parser.sections() if s not in _REQUIRED]
-    for section in _REQUIRED:
-        if parser.has_section(section):
-            allowed = set(_REQUIRED[section]) | set(_OPTIONAL[section])
-            unknown.extend(
-                f"{section}.{key}" for key in parser[section]
-                if key not in allowed)
+    sections = {key.split(".")[0] for key in _FIELDS}
+    unknown = [s for s in parser.sections() if s not in sections]
+    values = {f"{section}.{key}": raw
+              for section in parser.sections() if section in sections
+              for key, raw in parser[section].items()}
+    unknown += [key for key in values if key not in _FIELDS]
     if unknown:
         raise ConfigError("unknown keys: " + ", ".join(sorted(unknown)))
 
-    missing = [
-        f"{section}.{key}"
-        for section, keys in _REQUIRED.items()
-        for key in keys
-        if not parser.has_option(section, key)]
+    missing = [key for key in _FIELDS
+               if key not in values and key not in _DEFAULTS]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
+    return _build_config(values)
 
-    def number(section, key):
-        raw = parser.get(section, key)
+
+def _convert(key, raw):
+    if key in _TEXT_KEYS:
+        return raw
+    cast, kind = (int, "an integer") if key == "run.n_iters" else (float, "a number")
+    try:
+        return cast(raw)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{key}: could not parse {raw!r} as {kind}") from None
+
+
+def _build_config(values) -> ExperimentConfig:
+    """ExperimentConfig from a flat mapping of dotted keys to values.
+
+    The one validation path for config files, command-line overrides and
+    sweep entries. Values are text, or values taken from an existing config;
+    omitted optional keys get their defaults. The spec constructors check
+    the spec invariants and their errors come back naming the config key;
+    only the run-level keys are checked here.
+    """
+    parsed = {key: _convert(key, raw) for key, raw in (_DEFAULTS | values).items()}
+    parts = {}
+    for part, spec_type in _SPECS.items():
+        keys = {name: key for key, (owner, name) in _FIELDS.items() if owner == part}
         try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{section}.{key}: could not parse {raw!r} as a number") from None
+            parts[part] = spec_type(**{name: parsed[key] for name, key in keys.items()})
+        except ValueError as exc:
+            message = str(exc)
+            for name, key in keys.items():
+                message = message.replace(f"{spec_type.__name__}.{name} ", f"{key} ")
+            raise ConfigError(message) from None
+    run = {name: parsed[key] for key, (owner, name) in _FIELDS.items() if owner is None}
 
-    def integer(section, key):
-        raw = parser.get(section, key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{section}.{key}: could not parse {raw!r} as an integer") from None
-
-    values = {
-        f"{section}.{key}": number(section, key)
-        for section, keys in _REQUIRED.items() for key in keys
-        if (section, key) != ("run", "n_iters")}
-    values["run.n_iters"] = integer("run", "n_iters")
-
-    mode = parser.get("run", "mode", fallback="true-loop")
-    offset = (number("run", "offset_constant")
-              if parser.has_option("run", "offset_constant") else 0.3)
-    out_dir = parser.get("run", "out_dir", fallback="out")
-
-    _validate(values, mode, offset)
-    return ExperimentConfig(
-        map_spec=MapSpec(q_star=values["map.q_star"],
-                         h_star=values["map.h_star"],
-                         theta_star=values["map.theta_star"]),
-        loop_spec=LoopSpec(amplitude_a=values["loop.a"],
-                           omega=values["loop.omega"],
-                           epsilon=values["loop.epsilon"],
-                           gain_k=values["loop.k"]),
-        trigger_spec=TriggerSpec(sigma=values["trigger.sigma"],
-                                 alpha=values["trigger.alpha"]),
-        theta_hat0=values["run.theta_hat0"],
-        n_iters=values["run.n_iters"],
-        mode=mode,
-        offset_constant=offset,
-        out_dir=out_dir,
-    )
-
-
-def _validate(values, mode, offset):
     problems = []
-    if values["map.h_star"] == 0:
-        problems.append("map.h_star must be nonzero")
-    if values["loop.a"] <= 0:
-        problems.append("loop.a must be > 0")
-    if values["loop.omega"] <= 0:
-        problems.append("loop.omega must be > 0")
-    if values["loop.epsilon"] <= 0:
-        problems.append("loop.epsilon must be > 0")
-    if values["loop.k"] == 0:
-        problems.append("loop.k must be nonzero")
-    if not 0 < values["trigger.sigma"] < 1:
-        problems.append("trigger.sigma must lie in (0,1)")
-    if values["trigger.alpha"] <= 0:
-        problems.append("trigger.alpha must be > 0")
-    if values["run.n_iters"] < 1:
+    if not math.isfinite(run["theta_hat0"]):
+        problems.append("run.theta_hat0 must be finite")
+    if run["n_iters"] < 1:
         problems.append("run.n_iters must be >= 1")
-    if mode not in MODES:
+    if run["mode"] not in MODES:
         problems.append("run.mode must be one of " + ", ".join(MODES))
-    if offset < 0:
-        problems.append("run.offset_constant must be >= 0")
+    if not 0 <= run["offset_constant"] < math.inf:
+        problems.append("run.offset_constant must be finite and >= 0")
     if problems:
         raise ConfigError("; ".join(problems))
+    return ExperimentConfig(**parts, **run)
 
 
 def _fmt(value) -> str:
@@ -242,8 +214,8 @@ def _envelope_lines(title: str, report: analysis.EnvelopeReport) -> list[str]:
 
 
 def _is_reference_config(config: ExperimentConfig) -> bool:
-    return all(config.scalar(key) == value
-               for key, value in _REFERENCE_PARAMS.items())
+    values = config.flat()
+    return all(values[key] == value for key, value in _REFERENCE_PARAMS.items())
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -260,13 +232,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     report_lines += validate_assumption(
         config.map_spec, config.loop_spec, config.trigger_spec).lines()
 
-    trajectory_path = events_path = avg_path = None
+    trajectory_path = events_path = avg_path = final_theta = None
     event_stats = avg_event_stats = decay = None
 
     if config.mode in ("true-loop", "both"):
         traj, log = escore.run(config.map_spec, config.loop_spec,
                                config.trigger_spec, config.theta_hat0,
                                config.n_iters)
+        final_theta = traj.records[-1].theta
         trajectory_path = out / "trajectory.csv"
         events_path = out / "events.csv"
         _write_csv(
@@ -327,21 +300,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     return RunResult(out_dir=out, report_path=report_path,
                      trajectory_path=trajectory_path, events_path=events_path,
                      avg_trajectory_path=avg_path, event_stats=event_stats,
-                     avg_event_stats=avg_event_stats, decay=decay)
-
-
-def _with_scalar(config: ExperimentConfig, key: str, value: float) -> ExperimentConfig:
-    section, name = key.split(".", 1)
-    if section == "map":
-        return replace(config, map_spec=replace(config.map_spec, **{name: value}))
-    if section == "loop":
-        attr = {"a": "amplitude_a", "k": "gain_k"}.get(name, name)
-        return replace(config, loop_spec=replace(config.loop_spec, **{attr: value}))
-    if section == "trigger":
-        return replace(config, trigger_spec=replace(config.trigger_spec, **{name: value}))
-    if name == "n_iters":
-        return replace(config, n_iters=int(value))
-    return replace(config, **{name: value})
+                     avg_event_stats=avg_event_stats, decay=decay,
+                     final_theta=final_theta)
 
 
 def sweep(config: ExperimentConfig, param: str, values) -> Path:
@@ -359,33 +319,24 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
     if not tokens:
         raise ConfigError("sweep requires at least one value")
 
+    base = config.flat() | {"run.mode": "both"}
     entries = []
     for token in tokens:
+        out_dir = str(Path(config.out_dir) / str(token))
         try:
-            value = int(token) if param == "run.n_iters" else float(token)
-        except ValueError:
-            raise ConfigError(
-                f"{param}: could not parse {token!r} as a number") from None
-        try:
-            entry = _with_scalar(config, param, value)
-            entry = replace(entry, mode="both",
-                            out_dir=str(Path(config.out_dir) / str(token)))
-        except ValueError as exc:
+            entries.append(_build_config(
+                base | {param: token, "run.out_dir": out_dir}))
+        except ConfigError as exc:
             raise ConfigError(f"{param} = {token}: {exc}") from exc
-        entries.append((token, value, entry))
 
     rows = []
-    for token, value, entry in entries:
+    for entry in entries:
         result = run_experiment(entry)
-        traj_last_theta = None
-        with open(result.trajectory_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                traj_last_theta = float(row["theta"])
-        final_error = abs(traj_last_theta - entry.map_spec.theta_star)
+        final_error = abs(result.final_theta - entry.map_spec.theta_star)
         stats = result.event_stats
         rho0 = validate_assumption(entry.map_spec, entry.loop_spec,
                                    entry.trigger_spec).rho0
-        rows.append((value, stats.count, stats.mean_gap_seconds,
+        rows.append((entry.flat()[param], stats.count, stats.mean_gap_seconds,
                      final_error, result.decay.passed, rho0))
 
     summary = Path(config.out_dir) / "summary.csv"
@@ -434,21 +385,18 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         if args.command == "run":
-            if args.mode:
-                config = replace(config, mode=args.mode)
-            if args.iters is not None:
-                if args.iters < 1:
-                    raise ConfigError("run.n_iters must be >= 1")
-                config = replace(config, n_iters=args.iters)
-            if args.out:
-                config = replace(config, out_dir=args.out)
+            overrides = {"run.mode": args.mode, "run.n_iters": args.iters,
+                         "run.out_dir": args.out}
+            config = _build_config(config.flat() | {
+                key: value for key, value in overrides.items()
+                if value is not None})
             result = run_experiment(config)
             for path in (result.trajectory_path, result.events_path,
                          result.avg_trajectory_path, result.report_path):
                 if path is not None:
                     print(f"wrote {path}")
         elif args.command == "sweep":
-            config = replace(config, out_dir=args.out)
+            config = _build_config(config.flat() | {"run.out_dir": args.out})
             summary = sweep(config, args.param,
                             [v for v in args.values.split(",") if v != ""])
             print(f"wrote {summary}")

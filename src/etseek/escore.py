@@ -9,10 +9,16 @@ last triggering instant. The trigger module decides when the hold refreshes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from etseek import _kernel
 from etseek import trigger as _trigger
-from etseek._backend import kernel
+
+
+def _require_finite(spec) -> None:
+    for f in fields(spec):
+        if not math.isfinite(getattr(spec, f.name)):
+            raise ValueError(f"{type(spec).__name__}.{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -24,6 +30,7 @@ class MapSpec:
     theta_star: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.h_star == 0:
             raise ValueError("MapSpec.h_star must be nonzero")
 
@@ -38,6 +45,7 @@ class LoopSpec:
     gain_k: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.amplitude_a <= 0:
             raise ValueError("LoopSpec.amplitude_a must be > 0")
         if self.omega <= 0:
@@ -211,12 +219,12 @@ def run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """Run the closed loop for n_iters iterations from k = 0.
 
     Deterministic: identical inputs give bit-identical trajectories. The
-    stepping itself runs in the selected kernel backend; step() composes the
-    same operations one iteration at a time and agrees exactly.
+    stepping itself runs in etseek._kernel; step() composes the same
+    operations one iteration at a time and agrees exactly.
     """
     if n_iters < 1:
         raise ValueError("run requires n_iters >= 1")
-    rows, raw_events = kernel.run_loop(
+    rows, raw_events = _kernel.run_loop(
         map_spec.q_star, map_spec.h_star, map_spec.theta_star,
         loop.amplitude_a, loop.omega, loop.epsilon, loop.gain_k,
         trig.sigma, trig.alpha, theta_hat0, n_iters)

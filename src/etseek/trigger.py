@@ -19,7 +19,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class TriggerSpec:
-    """Event parameters: sigma in (0,1) and alpha > 0."""
+    """Event parameters: sigma in (0,1) and a finite alpha > 0."""
 
     sigma: float
     alpha: float
@@ -27,6 +27,8 @@ class TriggerSpec:
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("TriggerSpec.sigma must lie in (0,1)")
+        if not math.isfinite(self.alpha):
+            raise ValueError("TriggerSpec.alpha must be finite")
         if self.alpha <= 0.0:
             raise ValueError("TriggerSpec.alpha must be > 0")
 

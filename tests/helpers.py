@@ -1,5 +1,8 @@
 """Shared test fixtures: the reference parameter set and randomized draws.
 
+The reference set is read from configs/reference.cfg, the one place it is
+written down.
+
 The randomized draws keep the averaged contraction increment c = eps*a^2*H*K/2
 in a tame band by solving for the gain, so most trajectories stay finite; the
 rest (the true loop can still diverge and overflow) are rejected by the
@@ -8,20 +11,20 @@ finiteness filter. Draws are seeded, never time-dependent.
 
 import math
 import random
+from pathlib import Path
 
 from etseek import LoopSpec, MapSpec, TriggerSpec, escore
+from etseek.cli import parse_config
 
-REFERENCE_THETA_HAT0 = 0.5
-REFERENCE_N_ITERS = 1000
+REFERENCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+_REFERENCE = parse_config(REFERENCE_CFG.read_text())
+REFERENCE_THETA_HAT0 = _REFERENCE.theta_hat0
+REFERENCE_N_ITERS = _REFERENCE.n_iters
 
 
 def reference_specs():
     """Parameter set of the bundled reference configuration."""
-    return (
-        MapSpec(q_star=2.0, h_star=-0.7, theta_star=3.0),
-        LoopSpec(amplitude_a=0.1, omega=7.0, epsilon=0.18, gain_k=-240.0),
-        TriggerSpec(sigma=0.7, alpha=0.74),
-    )
+    return _REFERENCE.map_spec, _REFERENCE.loop_spec, _REFERENCE.trigger_spec
 
 
 def draw_specs(rng):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -184,6 +185,22 @@ def test_envelopes_true_run_reports_the_frozen_loop():
     assert theta_check.name == "theta"
     assert theta_check.first_violation_k == 8
     assert theta_check.max_excess == pytest.approx(2.3, abs=0.01)
+
+
+def test_envelopes_overflowing_bound_reads_inf():
+    # gain sign opposite the curvature gives rho > 1; at rho ~ 3476 the power
+    # rho ** (k/2) overflows a float from k = 175, and the bound reads inf
+    map_spec, loop, trig = reference_specs()
+    loop = replace(loop, gain_k=240000.0)
+    traj, _ = escore.run(map_spec, loop, trig, 0.5, 300)
+    report = convergence_envelopes(traj, map_spec, loop, trig,
+                                   offset_constant=0.3)
+    assert report.rho == pytest.approx(3475.576)
+    with pytest.raises(OverflowError):
+        report.rho ** (0.5 * 299)
+    assert report.passed
+    avg = avg_run(map_spec, loop, trig, -2.5, 300)
+    assert convergence_envelopes(avg, map_spec, loop, trig).rho == report.rho
 
 
 def test_envelope_bound_sequence_non_increasing():

@@ -7,13 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from etseek import ConfigError, escore, parse_config, run_experiment, sweep
-from etseek.cli import main
-from helpers import REFERENCE_N_ITERS, REFERENCE_THETA_HAT0, reference_specs
+from etseek import LoopSpec, MapSpec, TriggerSpec, escore
+from etseek.cli import ConfigError, main, parse_config, run_experiment, sweep
+from helpers import (
+    REFERENCE_CFG,
+    REFERENCE_N_ITERS,
+    REFERENCE_THETA_HAT0,
+    reference_specs,
+)
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "reference"
-REFERENCE_CFG = CONFIG_DIR / "reference.cfg"
 
 MINIMAL = """\
 [map]
@@ -41,12 +44,12 @@ def _edit(text, old, new):
 
 def test_bundled_reference_config_parses_to_reference_set():
     config = parse_config(REFERENCE_CFG.read_text())
-    map_spec, loop, trig = reference_specs()
-    assert config.map_spec == map_spec
-    assert config.loop_spec == loop
-    assert config.trigger_spec == trig
-    assert config.theta_hat0 == REFERENCE_THETA_HAT0
-    assert config.n_iters == REFERENCE_N_ITERS
+    assert config.map_spec == MapSpec(q_star=2.0, h_star=-0.7, theta_star=3.0)
+    assert config.loop_spec == LoopSpec(amplitude_a=0.1, omega=7.0,
+                                        epsilon=0.18, gain_k=-240.0)
+    assert config.trigger_spec == TriggerSpec(sigma=0.7, alpha=0.74)
+    assert config.theta_hat0 == 0.5
+    assert config.n_iters == 1000
     assert config.mode == "both"
     assert config.offset_constant == 0.3
     assert config.out_dir == "out"
@@ -201,9 +204,14 @@ def test_sweep_rejects_bad_parameters(tmp_path):
 def test_sweep_validates_all_values_before_running(tmp_path):
     from dataclasses import replace
     config = replace(parse_config(MINIMAL), out_dir=str(tmp_path / "sw"))
-    with pytest.raises(ConfigError, match=r"trigger.sigma = 1.5"):
-        sweep(config, "trigger.sigma", ["0.5", "1.5"])
-    assert not (tmp_path / "sw").exists()
+    for param, values, message in [
+            ("trigger.sigma", ["0.5", "1.5"], r"trigger.sigma = 1.5"),
+            ("run.n_iters", ["0"], r"run.n_iters must be >= 1"),
+            ("run.offset_constant", ["-1"],
+             r"run.offset_constant must be finite and >= 0")]:
+        with pytest.raises(ConfigError, match=message):
+            sweep(config, param, values)
+        assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_writes_summary_and_per_value_directories(tmp_path):
@@ -263,6 +271,29 @@ def test_main_config_errors_exit_one(tmp_path, capsys):
     assert "cannot sweep" in capsys.readouterr().err
 
 
+def test_main_non_finite_values_exit_one(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    for old, new, message in [
+            ("alpha = 0.74", "alpha = nan", "trigger.alpha must be finite"),
+            ("k = -240.0", "k = inf", "loop.k must be finite"),
+            ("q_star = 2.0", "q_star = -inf", "map.q_star must be finite"),
+            ("theta_hat0 = 0.5", "theta_hat0 = nan",
+             "run.theta_hat0 must be finite")]:
+        bad.write_text(_edit(MINIMAL, old, new))
+        assert main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "never")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    for param, token in [("trigger.alpha", "nan"), ("loop.k", "inf"),
+                         ("map.theta_star", "-inf"),
+                         ("run.offset_constant", "inf")]:
+        assert main(["sweep", "--config", str(REFERENCE_CFG), "--param", param,
+                     "--values", "0.5," + token,
+                     "--out", str(tmp_path / "never")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {param} = {token}: {param} must be finite" in err
+    assert not (tmp_path / "never").exists()
+
+
 def test_main_unwritable_output_exits_two(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("in the way")
@@ -282,8 +313,8 @@ def test_main_sweep_end_to_end(tmp_path, capsys):
 
 def test_module_entry_point():
     out = subprocess.run(
-        [sys.executable, "-m", "etseek.cli", "check", "--config",
-         str(REFERENCE_CFG)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "etseek.cli",
+         "check", "--config", str(REFERENCE_CFG)],
         capture_output=True, text=True)
-    assert out.returncode == 0
+    assert out.returncode == 0, out.stderr
     assert "rho0 = 0.8488" in out.stdout

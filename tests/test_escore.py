@@ -44,6 +44,15 @@ def test_spec_construction_errors():
         LoopSpec(amplitude_a=0.1, omega=7.0, epsilon=0.0, gain_k=-240.0)
     with pytest.raises(ValueError, match="gain_k must be nonzero"):
         LoopSpec(amplitude_a=0.1, omega=7.0, epsilon=0.18, gain_k=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="MapSpec.q_star must be finite"):
+            MapSpec(q_star=bad, h_star=-0.7, theta_star=3.0)
+        with pytest.raises(ValueError, match="MapSpec.theta_star must be finite"):
+            MapSpec(q_star=2.0, h_star=-0.7, theta_star=bad)
+        with pytest.raises(ValueError, match="LoopSpec.omega must be finite"):
+            LoopSpec(amplitude_a=0.1, omega=bad, epsilon=0.18, gain_k=-240.0)
+        with pytest.raises(ValueError, match="LoopSpec.gain_k must be finite"):
+            LoopSpec(amplitude_a=0.1, omega=7.0, epsilon=0.18, gain_k=bad)
 
 
 def test_loop_period_in_seconds():

@@ -1,100 +1,29 @@
-"""Backend agreement: pure and compiled kernels, kernels versus stepping.
+"""Kernel agreement: the stepping kernels against step-by-step composition.
 
-The two kernels must agree bit-for-bit, not merely within tolerance: golden
-files and cross-machine reproducibility depend on identical operation order.
-Comparisons go through repr so that NaN, infinities, and signed zeros are
-compared by identity rather than IEEE equality.
+escore.run and average.avg_run step in etseek._kernel; escore.step and
+average.avg_step are the readable definition. The two must agree bit for
+bit, not merely within tolerance: golden files and cross-machine
+reproducibility depend on identical operation order. Comparisons go through
+repr so that NaN, infinities, and signed zeros are compared by identity
+rather than IEEE equality.
 """
 
-import os
 import random
-import subprocess
-import sys
 
-import pytest
-
-import etseek
-from etseek import _kernel, escore
-from etseek.average import AvgState, avg_run, avg_step, coefficients
+from etseek import escore
+from etseek.average import AvgState, avg_run, avg_step
 from etseek.escore import initial_state, step
 from etseek.trigger import measurement_error
 from helpers import (
-    REFERENCE_N_ITERS,
     REFERENCE_THETA_HAT0,
     draw_specs,
     finite_true_runs,
     reference_specs,
 )
 
-try:
-    from etseek import _ckernel
-except ImportError:
-    _ckernel = None
-
-needs_extension = pytest.mark.skipif(
-    _ckernel is None, reason="compiled extension not built")
-
 
 def _r(rows):
     return [tuple(repr(c) for c in row) for row in rows]
-
-
-def _run_args(map_spec, loop, trig, theta0, n):
-    return (map_spec.q_star, map_spec.h_star, map_spec.theta_star,
-            loop.amplitude_a, loop.omega, loop.epsilon, loop.gain_k,
-            trig.sigma, trig.alpha, theta0, n)
-
-
-def test_backend_name_is_reported():
-    assert etseek.backend_name() in ("pure", "compiled")
-    if _ckernel is not None and not os.environ.get("ETSEEK_PURE"):
-        assert etseek.backend_name() == "compiled"
-
-
-def test_pure_backend_can_be_forced():
-    code = "import etseek; print(etseek.backend_name())"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "ETSEEK_PURE": "1"})
-    assert out.stdout.strip() == "pure"
-
-
-@needs_extension
-def test_run_loop_backends_bitwise_equal_on_reference():
-    args = _run_args(*reference_specs(), REFERENCE_THETA_HAT0,
-                     REFERENCE_N_ITERS)
-    rows_p, events_p = _kernel.run_loop(*args)
-    rows_c, events_c = _ckernel.run_loop(*args)
-    assert _r(rows_p) == _r(rows_c)
-    assert _r(events_p) == _r(events_c)
-
-
-@needs_extension
-def test_run_loop_backends_bitwise_equal_on_random_draws():
-    rng = random.Random(401)
-    for _ in range(150):
-        specs = draw_specs(rng)
-        args = _run_args(*specs, rng.uniform(-8.0, 8.0), 150)
-        rows_p, events_p = _kernel.run_loop(*args)
-        rows_c, events_c = _ckernel.run_loop(*args)
-        assert _r(rows_p) == _r(rows_c)
-        assert _r(events_p) == _r(events_c)
-
-
-@needs_extension
-def test_avg_loop_backends_bitwise_equal():
-    rng = random.Random(402)
-    cases = [(-0.7, 0.1512, -0.216, 0.7, 0.74, -2.5, 1000)]
-    for _ in range(150):
-        m, l, t = draw_specs(rng)
-        c_g, c_t = coefficients(m, l)
-        cases.append((m.h_star, c_g, c_t, t.sigma, t.alpha,
-                      rng.uniform(-5.0, 5.0), 150))
-    for case in cases:
-        rows_p, events_p = _kernel.avg_loop(*case)
-        rows_c, events_c = _ckernel.avg_loop(*case)
-        assert _r(rows_p) == _r(rows_c)
-        assert _r(events_p) == _r(events_c)
 
 
 def _recompose_true(map_spec, loop, trig, theta0, n):

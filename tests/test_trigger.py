@@ -26,6 +26,11 @@ def test_spec_invariants():
         TriggerSpec(sigma=1.0, alpha=0.5)
     with pytest.raises(ValueError, match="alpha must be > 0"):
         TriggerSpec(sigma=0.5, alpha=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"sigma must lie in \(0,1\)"):
+            TriggerSpec(sigma=bad, alpha=0.5)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            TriggerSpec(sigma=0.5, alpha=bad)
     spec = TriggerSpec(sigma=0.7, alpha=0.74)
     assert spec.sigma == 0.7 and spec.alpha == 0.74
 
