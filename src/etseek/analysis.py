@@ -136,7 +136,7 @@ def truncated_gradient(map_spec: MapSpec, loop: LoopSpec, k: int,
 def lyapunov_sequence(g_av_trajectory: Union[AvgTrajectory, Iterable[float]]) -> list[float]:
     """Elementwise square of an averaged-gradient sequence."""
     if isinstance(g_av_trajectory, AvgTrajectory):
-        return [r.g_av * r.g_av for r in g_av_trajectory.records]
+        return [g * g for g in g_av_trajectory.columns.g_av]
     return [float(v) * float(v) for v in g_av_trajectory]
 
 
@@ -173,16 +173,27 @@ def check_decay(v_sequence: Sequence[float], map_spec: MapSpec,
                        first_violation_k=first, max_excess=worst)
 
 
-def _check_envelope(name, values, bound_at) -> EnvelopeCheck:
+def _powers(rho: float, exponents) -> list[float]:
+    """rho ** x for each x in order, stopping before the first that overflows.
+
+    Only rho > 1 overflows, and then every later power does too. The
+    envelope bound is inf from there on and no row can exceed it, so the
+    rows past the end of the returned powers need no check.
+    """
+    powers = []
+    try:
+        for x in exponents:
+            powers.append(rho ** x)
+    except OverflowError:
+        pass
+    return powers
+
+
+def _check_envelope(name, excesses) -> EnvelopeCheck:
+    """Verdict from each row's signed excess over its bound, in order of k."""
     first = None
     worst = 0.0
-    for k, v in enumerate(values):
-        try:
-            bound = bound_at(k)
-        except OverflowError:
-            # rho > 1 over a long horizon: the power overflows, the bound is inf
-            bound = math.inf
-        excess = v - bound
+    for k, excess in enumerate(excesses):
         if excess > 0.0:
             if first is None:
                 first = k
@@ -203,33 +214,38 @@ def convergence_envelopes(traj: Union[Trajectory, AvgTrajectory],
     magnitudes, with roundoff slack only. For a true trajectory the caller
     supplies offset_constant, the residual-neighborhood radius the analysis
     leaves symbolic: the input envelope carries it additively and the output
-    envelope its square.
+    envelope its square. A bound whose power of rho overflows reads inf.
     """
     if offset_constant < 0:
         raise ValueError("convergence_envelopes requires offset_constant >= 0")
     rho = decay_rate(map_spec, loop, trig)
+    n = len(traj)
+    half_powers = _powers(rho, (0.5 * k for k in range(n)))
+    cols = traj.columns
     if isinstance(traj, AvgTrajectory):
-        g0 = abs(traj.records[0].g_av)
-        t0 = abs(traj.records[0].theta_tilde_av)
+        g0 = abs(cols.g_av[0])
+        t0 = abs(cols.theta_tilde_av[0])
         checks = (
-            _check_envelope(
-                "g_av", [abs(r.g_av) for r in traj.records],
-                lambda k: rho ** (0.5 * k) * g0 + DECAY_SLACK),
-            _check_envelope(
-                "theta_tilde_av", [abs(r.theta_tilde_av) for r in traj.records],
-                lambda k: rho ** (0.5 * k) * t0 + DECAY_SLACK),
+            _check_envelope("g_av", (
+                abs(g) - (p * g0 + DECAY_SLACK)
+                for g, p in zip(cols.g_av, half_powers))),
+            _check_envelope("theta_tilde_av", (
+                abs(t) - (p * t0 + DECAY_SLACK)
+                for t, p in zip(cols.theta_tilde_av, half_powers))),
         )
     else:
-        th0 = abs(traj.records[0].theta - map_spec.theta_star)
-        y0 = abs(traj.records[0].y - map_spec.q_star)
+        theta_star = map_spec.theta_star
+        q_star = map_spec.q_star
+        th0 = abs(cols.theta[0] - theta_star)
+        y0 = abs(cols.y[0] - q_star)
         off2 = offset_constant * offset_constant
         checks = (
-            _check_envelope(
-                "theta", [abs(r.theta - map_spec.theta_star) for r in traj.records],
-                lambda k: rho ** (0.5 * k) * th0 + offset_constant),
-            _check_envelope(
-                "y", [abs(r.y - map_spec.q_star) for r in traj.records],
-                lambda k: 2.0 * rho ** k * y0 + off2),
+            _check_envelope("theta", (
+                abs(theta - theta_star) - (p * th0 + offset_constant)
+                for theta, p in zip(cols.theta, half_powers))),
+            _check_envelope("y", (
+                abs(y - q_star) - (2.0 * p * y0 + off2)
+                for y, p in zip(cols.y, _powers(rho, range(n))))),
         )
     return EnvelopeReport(rho=rho, checks=checks)
 

@@ -9,11 +9,14 @@ integer-scan lower estimate for the spacing of triggering instants.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from etseek import _kernel
 from etseek import trigger as _trigger
-from etseek.escore import EventEntry, EventLog, LoopSpec, MapSpec
+from etseek.escore import (EventLog, LoopSpec, MapSpec, RowView,
+                           check_columns, event_log)
 
 _SCAN_LIMIT = 1_000_000
 
@@ -49,16 +52,39 @@ class AvgRecord:
     triggered: bool
 
 
+class AvgColumns(NamedTuple):
+    """The averaged loop's per-iteration values as columns; index k is iteration k.
+
+    Fields follow AvgRecord without k; triggered holds 0/1 flags.
+    """
+
+    g_av: array
+    theta_tilde_av: array
+    held_g_av: array
+    error: array
+    triggered: array
+
+
 @dataclass(frozen=True)
 class AvgTrajectory:
-    records: tuple[AvgRecord, ...]
+    """Per-iteration columns of the averaged loop, its events and specs."""
+
+    columns: AvgColumns
     events: EventLog
     map_spec: MapSpec
     loop_spec: LoopSpec
     trigger_spec: _trigger.TriggerSpec
 
+    def __post_init__(self):
+        check_columns("AvgTrajectory", self.columns)
+
+    @property
+    def records(self) -> RowView:
+        """AvgRecord rows, built only when a row is read."""
+        return RowView(AvgRecord, self.columns)
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns.g_av)
 
 
 @dataclass(frozen=True)
@@ -164,17 +190,9 @@ def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     if n_iters < 1:
         raise ValueError("avg_run requires n_iters >= 1")
     c_g, c_t = coefficients(map_spec, loop)
-    rows, raw_events = _kernel.avg_loop(
+    columns, event_columns = _kernel.avg_loop(
         map_spec.h_star, c_g, c_t, trig.sigma, trig.alpha,
         theta_tilde0, n_iters)
-    records = tuple(
-        AvgRecord(k=k, g_av=row[0], theta_tilde_av=row[1], held_g_av=row[2],
-                  error=row[3], triggered=bool(row[4]))
-        for k, row in enumerate(rows))
-    entries = tuple(
-        EventEntry(index=l, k=ev_k, gradient=ev_g,
-                   control=-loop.gain_k * ev_g)
-        for l, (ev_k, ev_g) in enumerate(raw_events))
-    log = EventLog(entries=entries, horizon=n_iters, epsilon=loop.epsilon)
-    return AvgTrajectory(records=records, events=log, map_spec=map_spec,
-                         loop_spec=loop, trigger_spec=trig)
+    return AvgTrajectory(columns=AvgColumns(*columns),
+                         events=event_log(loop, event_columns, n_iters),
+                         map_spec=map_spec, loop_spec=loop, trigger_spec=trig)

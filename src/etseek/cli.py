@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
@@ -168,28 +167,26 @@ def _build_config(values) -> ExperimentConfig:
     return ExperimentConfig(**parts, **run)
 
 
-def _fmt(value) -> str:
-    """Serialize one CSV cell: shortest round-trip floats, 1/0 booleans."""
-    if value is None:
-        return "nan"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# CSV cell text: floats as repr (shortest round trip, also nan, inf and -0.0),
+# integers as str, fired flags and verdicts as 0/1.
+_FLAGS = ("0", "1")
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, columns):
+    """Write a header line, then one comma-joined line per row of text cells.
+
+    columns holds one iterable of cell text per CSV column. No cell this
+    module writes contains a comma, a quote or a line break, so none needs
+    quoting.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line + "\n" for line in map(",".join, zip(*columns)))
 
 
 def _stats_lines(title: str, stats: analysis.EventStats) -> list[str]:
     def cell(v):
-        return "n/a" if v is None else _fmt(v)
+        return "n/a" if v is None else str(v)
 
     return [
         f"# events: {title}",
@@ -239,18 +236,24 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         traj, log = escore.run(config.map_spec, config.loop_spec,
                                config.trigger_spec, config.theta_hat0,
                                config.n_iters)
-        final_theta = traj.records[-1].theta
+        cols = traj.columns
+        final_theta = cols.theta[-1]
         trajectory_path = out / "trajectory.csv"
         events_path = out / "events.csv"
         _write_csv(
             trajectory_path,
             ("k", "theta_hat", "theta", "y", "g_hat", "e", "u", "triggered"),
-            ((r.k, r.theta_hat, r.theta, r.y, r.gradient, r.error, r.control,
-              r.triggered) for r in traj.records))
+            (map(str, range(len(traj))), map(repr, cols.theta_hat),
+             map(repr, cols.theta), map(repr, cols.y), map(repr, cols.gradient),
+             map(repr, cols.error), map(repr, cols.control),
+             map(_FLAGS.__getitem__, cols.triggered)))
+        entries = log.entries
         _write_csv(
             events_path,
             ("l", "k_l", "g_hat_held", "u_held"),
-            ((ev.index, ev.k, ev.gradient, ev.control) for ev in log.entries))
+            ((str(ev.index) for ev in entries), (str(ev.k) for ev in entries),
+             (repr(ev.gradient) for ev in entries),
+             (repr(ev.control) for ev in entries)))
         event_stats = analysis.event_statistics(log)
         report_lines += _stats_lines("true loop", event_stats)
         if _is_reference_config(config):
@@ -269,11 +272,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             config.map_spec, config.loop_spec, config.trigger_spec,
             config.theta_hat0 - config.map_spec.theta_star, config.n_iters)
         avg_path = out / "avg_trajectory.csv"
+        avg_cols = avg_traj.columns
         _write_csv(
             avg_path,
             ("k", "g_av", "theta_tilde_av", "e_av", "triggered"),
-            ((r.k, r.g_av, r.theta_tilde_av, r.error, r.triggered)
-             for r in avg_traj.records))
+            (map(str, range(len(avg_traj))), map(repr, avg_cols.g_av),
+             map(repr, avg_cols.theta_tilde_av), map(repr, avg_cols.error),
+             map(_FLAGS.__getitem__, avg_cols.triggered)))
         avg_event_stats = analysis.event_statistics(avg_traj.events)
         report_lines += _stats_lines("average loop", avg_event_stats)
         decay = analysis.check_decay(
@@ -336,15 +341,18 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
         stats = result.event_stats
         rho0 = validate_assumption(entry.map_spec, entry.loop_spec,
                                    entry.trigger_spec).rho0
-        rows.append((entry.flat()[param], stats.count, stats.mean_gap_seconds,
-                     final_error, result.decay.passed, rho0))
+        mean_gap = stats.mean_gap_seconds
+        rows.append((str(entry.flat()[param]), str(stats.count),
+                     "nan" if mean_gap is None else repr(mean_gap),
+                     repr(final_error), _FLAGS[result.decay.passed],
+                     repr(rho0)))
 
     summary = Path(config.out_dir) / "summary.csv"
     _write_csv(
         summary,
         ("value", "event_count", "mean_gap_seconds", "final_theta_error",
          "decay_pass", "rho0"),
-        rows)
+        zip(*rows))
     return summary
 
 

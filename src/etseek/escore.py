@@ -9,7 +9,11 @@ last triggering instant. The trigger module decides when the hold refreshes.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from etseek import _kernel
 from etseek import trigger as _trigger
@@ -94,22 +98,88 @@ class StepRecord:
     triggered: bool
 
 
+class StepColumns(NamedTuple):
+    """The true loop's per-iteration values as columns; index k is iteration k.
+
+    Fields follow StepRecord without k; triggered holds 0/1 flags.
+    """
+
+    theta_hat: array
+    theta: array
+    y: array
+    gradient: array
+    error: array
+    control: array
+    triggered: array
+
+
+class RowView(Sequence):
+    """Read-only rows of a columnar trajectory, each record built on demand.
+
+    Row k is record_type(k, *values at k) with the last column, the fired
+    flags, read as a bool. A slice gives a tuple of records. Two views are
+    equal when they build the same record type from equal columns.
+    """
+
+    __slots__ = ("_record_type", "_columns")
+
+    def __init__(self, record_type, columns):
+        self._record_type = record_type
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(len(self))))
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("trajectory row index out of range")
+        *values, fired = (col[k] for col in self._columns)
+        return self._record_type(k, *values, triggered=bool(fired))
+
+    def __iter__(self):
+        make = self._record_type
+        for k, (*values, fired) in enumerate(zip(*self._columns)):
+            yield make(k, *values, triggered=bool(fired))
+
+    def __eq__(self, other):
+        if not isinstance(other, RowView):
+            return NotImplemented
+        return (self._record_type is other._record_type
+                and self._columns == other._columns)
+
+    __hash__ = None
+
+
+def check_columns(owner: str, columns) -> None:
+    """Raise ValueError unless every column has the same length."""
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError(f"{owner} columns must have equal lengths")
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Contiguous per-iteration records plus the specs that produced them."""
+    """Per-iteration columns plus the specs that produced them."""
 
-    records: tuple[StepRecord, ...]
+    columns: StepColumns
     map_spec: MapSpec
     loop_spec: LoopSpec
     trigger_spec: _trigger.TriggerSpec
 
     def __post_init__(self):
-        for i, rec in enumerate(self.records):
-            if rec.k != i:
-                raise ValueError("Trajectory records must be contiguous from 0")
+        check_columns("Trajectory", self.columns)
+
+    @property
+    def records(self) -> RowView:
+        """StepRecord rows, built only when a row is read."""
+        return RowView(StepRecord, self.columns)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns.theta_hat)
 
 
 @dataclass(frozen=True)
@@ -224,19 +294,18 @@ def run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """
     if n_iters < 1:
         raise ValueError("run requires n_iters >= 1")
-    rows, raw_events = _kernel.run_loop(
+    columns, event_columns = _kernel.run_loop(
         map_spec.q_star, map_spec.h_star, map_spec.theta_star,
         loop.amplitude_a, loop.omega, loop.epsilon, loop.gain_k,
         trig.sigma, trig.alpha, theta_hat0, n_iters)
-    records = tuple(
-        StepRecord(k=k, theta_hat=row[0], theta=row[1], y=row[2],
-                   gradient=row[3], error=row[4], control=row[5],
-                   triggered=bool(row[6]))
-        for k, row in enumerate(rows))
+    trajectory = Trajectory(columns=StepColumns(*columns), map_spec=map_spec,
+                            loop_spec=loop, trigger_spec=trig)
+    return trajectory, event_log(loop, event_columns, n_iters)
+
+
+def event_log(loop: LoopSpec, event_columns, horizon: int) -> EventLog:
+    """EventLog from a kernel's (ks, gradients) event columns."""
     entries = tuple(
         EventEntry(index=l, k=ev_k, gradient=ev_g, control=-loop.gain_k * ev_g)
-        for l, (ev_k, ev_g) in enumerate(raw_events))
-    trajectory = Trajectory(records=records, map_spec=map_spec,
-                            loop_spec=loop, trigger_spec=trig)
-    log = EventLog(entries=entries, horizon=n_iters, epsilon=loop.epsilon)
-    return trajectory, log
+        for l, (ev_k, ev_g) in enumerate(zip(*event_columns)))
+    return EventLog(entries=entries, horizon=horizon, epsilon=loop.epsilon)

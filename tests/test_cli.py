@@ -1,13 +1,26 @@
 """Config parsing, experiment outputs, sweeps, exit codes, golden files."""
 
 import csv
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from etseek import LoopSpec, MapSpec, TriggerSpec, escore
+from etseek import (
+    AvgRecord,
+    LoopSpec,
+    MapSpec,
+    StepRecord,
+    TriggerSpec,
+    avg_run,
+    check_decay,
+    escore,
+    event_statistics,
+    lyapunov_sequence,
+    validate_assumption,
+)
 from etseek.cli import ConfigError, main, parse_config, run_experiment, sweep
 from helpers import (
     REFERENCE_CFG,
@@ -318,3 +331,118 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert "rho0 = 0.8488" in out.stdout
+
+
+# The CSV writer as it was when trajectories were rows: csv.writer fed one
+# formatted cell at a time. It stays here only as the oracle that the
+# column-wise writer must match byte for byte.
+def _oracle_cell(value):
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _oracle_csv(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_oracle_cell(cell) for cell in row])
+    return buf.getvalue().encode()
+
+
+def _specs(config):
+    return config.map_spec, config.loop_spec, config.trigger_spec
+
+
+def test_csv_files_match_the_csv_writer_oracle(tmp_path):
+    # the goldens hold one event and finite values only; these runs fire
+    # often, and the diverging one also writes -0.0, inf and -inf cells
+    text = REFERENCE_CFG.read_text()
+    fires = text
+    for old, new in (("q_star = 2.0", "q_star = 0.0"), ("k = -240.0", "k = -20.0"),
+                     ("alpha = 0.74", "alpha = 0.9"),
+                     ("n_iters = 1000", "n_iters = 3000")):
+        fires = _edit(fires, old, new)
+    diverging = _edit(text, "alpha = 0.74", "alpha = 2.0")
+    for name, cfg_text in (("fires", fires), ("diverging", diverging)):
+        result = _run_into(tmp_path, name, cfg_text)
+        config = parse_config(cfg_text)
+        traj, log = escore.run(*_specs(config), config.theta_hat0, config.n_iters)
+        avg = avg_run(*_specs(config),
+                      config.theta_hat0 - config.map_spec.theta_star,
+                      config.n_iters)
+        expected = {
+            "trajectory.csv": _oracle_csv(
+                ("k", "theta_hat", "theta", "y", "g_hat", "e", "u", "triggered"),
+                ((r.k, r.theta_hat, r.theta, r.y, r.gradient, r.error,
+                  r.control, r.triggered) for r in traj.records)),
+            "events.csv": _oracle_csv(
+                ("l", "k_l", "g_hat_held", "u_held"),
+                ((e.index, e.k, e.gradient, e.control) for e in log.entries)),
+            "avg_trajectory.csv": _oracle_csv(
+                ("k", "g_av", "theta_tilde_av", "e_av", "triggered"),
+                ((r.k, r.g_av, r.theta_tilde_av, r.error, r.triggered)
+                 for r in avg.records)),
+        }
+        for file_name, data in expected.items():
+            assert (result.out_dir / file_name).read_bytes() == data, \
+                (name, file_name)
+        written = (result.out_dir / "trajectory.csv").read_text().splitlines()
+        assert sum(line.endswith(",1") for line in written) > 10
+        if name == "fires":
+            assert len(log.entries) > 1000
+        else:
+            cells = [line.split(",") for line in written[1:]]
+            assert sum(any(c in ("inf", "-inf", "nan") for c in row)
+                       for row in cells) == 986
+            assert any("-0.0" in row for row in cells)
+
+
+def test_summary_csv_matches_the_csv_writer_oracle(tmp_path):
+    # alpha 0.74 leaves one event (mean gap None, written nan); 2.0 diverges
+    from dataclasses import replace
+    config = replace(parse_config(REFERENCE_CFG.read_text()),
+                     out_dir=str(tmp_path / "sw"))
+    summary = sweep(config, "trigger.alpha", ["0.74", "2.0"])
+    theta_star = config.map_spec.theta_star
+    rows = []
+    for alpha in (0.74, 2.0):
+        specs = (config.map_spec, config.loop_spec,
+                 replace(config.trigger_spec, alpha=alpha))
+        traj, log = escore.run(*specs, config.theta_hat0, config.n_iters)
+        avg = avg_run(*specs, config.theta_hat0 - theta_star, config.n_iters)
+        stats = event_statistics(log)
+        rows.append((alpha, stats.count, stats.mean_gap_seconds,
+                     abs(traj.records[-1].theta - theta_star),
+                     check_decay(lyapunov_sequence(avg), *specs).passed,
+                     validate_assumption(*specs).rho0))
+    assert rows[0][2] is None
+    assert summary.read_bytes() == _oracle_csv(
+        ("value", "event_count", "mean_gap_seconds", "final_theta_error",
+         "decay_pass", "rho0"), rows)
+
+
+def test_run_experiment_builds_no_record_objects(tmp_path, monkeypatch):
+    # the pipeline reads columns end to end; a StepRecord or AvgRecord per
+    # step is what the columnar trajectories removed from the hot path
+    built = []
+    for record_type in (StepRecord, AvgRecord):
+        def counted(self, *args, _init=record_type.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(record_type, "__init__", counted)
+    result = _run_into(tmp_path, "both", REFERENCE_CFG.read_text())
+    assert result.trajectory_path.exists()
+    assert result.avg_trajectory_path.exists()
+    assert built == []
+    # rows are still there on demand, and the count sees them
+    traj, _ = escore.run(*reference_specs(), REFERENCE_THETA_HAT0, 10)
+    avg = avg_run(*reference_specs(), -2.5, 10)
+    traj.records[-1]
+    list(avg.records)
+    assert built == ["StepRecord"] + ["AvgRecord"] * 10

@@ -9,9 +9,10 @@ rather than IEEE equality.
 """
 
 import random
+from dataclasses import replace
 
 from etseek import escore
-from etseek.average import AvgState, avg_run, avg_step
+from etseek.average import AvgRecord, AvgState, avg_run, avg_step
 from etseek.escore import initial_state, step
 from etseek.trigger import measurement_error
 from helpers import (
@@ -79,3 +80,43 @@ def test_avg_run_matches_avg_step_composition():
             assert repr(rec.error) == repr(e)
             assert rec.triggered == fired
             state = nxt
+
+
+def test_rows_match_step_composition_on_diverging_run():
+    # alpha = 2.0 fires 13 times, then the loop overflows: the rows carry
+    # -0.0, inf and -inf cells, which repr compares by identity
+    map_spec, loop, trig = reference_specs()
+    trig = replace(trig, alpha=2.0)
+    traj, log = escore.run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 1000)
+    records, event_ks = _recompose_true(map_spec, loop, trig,
+                                        REFERENCE_THETA_HAT0, 1000)
+    assert [e.k for e in log.entries] == event_ks
+    assert len(event_ks) > 10
+    assert [repr(r) for r in traj.records] == [repr(r) for r in records]
+    cells = {repr(c) for r in records
+             for c in (r.theta_hat, r.theta, r.y, r.gradient, r.error, r.control)}
+    assert {"-0.0", "inf", "-inf"} <= cells
+
+
+def test_avg_rows_match_avg_step_composition():
+    # rho0 > 1 (gain 240) drives theta_tilde_av past the float range
+    map_spec, loop, trig = reference_specs()
+    cases = [(loop, trig, 200), (loop, replace(trig, alpha=2.0), 200),
+             (replace(loop, gain_k=240.0), trig, 6000)]
+    for case_loop, case_trig, n in cases:
+        traj = avg_run(map_spec, case_loop, case_trig, -2.5, n)
+        g0 = map_spec.h_star * -2.5
+        state = AvgState(k=0, g_av=g0, theta_tilde_av=-2.5, held_g_av=g0,
+                         last_event_k=0)
+        expected = []
+        for _ in range(n):
+            e = measurement_error(state.held_g_av, state.g_av)
+            nxt = avg_step(map_spec, case_loop, case_trig, state)
+            fired = nxt.last_event_k == state.k and state.k > 0
+            expected.append(repr(AvgRecord(
+                k=state.k, g_av=state.g_av,
+                theta_tilde_av=state.theta_tilde_av,
+                held_g_av=nxt.held_g_av, error=e, triggered=fired)))
+            state = nxt
+        assert [repr(r) for r in traj.records] == expected
+    assert "theta_tilde_av=inf" in expected[-1]  # the gain-240 case
