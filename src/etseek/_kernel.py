@@ -10,7 +10,10 @@ array('d') per value and an array('b') of fired flags last, in the field
 order of the matching record type (escore.StepRecord, average.AvgRecord)
 without k, which is the index. The event list comes back as a pair of
 columns too: array('q') of iterations and array('d') of the gradients held
-from them.
+from them, which escore.EventLog keeps as they are. In run_loop an event's
+gradient is the very float in the gradient column at its row, and -gain_k
+times it is the control column there, so the CLI writes events.csv from
+the trajectory's cells in the same pass as trajectory.csv.
 """
 
 from __future__ import annotations

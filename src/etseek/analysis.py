@@ -12,7 +12,9 @@ statistics.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 from etseek.average import AvgTrajectory
@@ -256,12 +258,13 @@ def event_statistics(log: EventLog) -> EventStats:
     Gaps are differences of consecutive event iterations; seconds scale by
     the sampling step. A single-event log has no gaps, reported as None.
     """
-    count = len(log.entries)
+    ks = log.ks
+    count = len(ks)
     if count < 2:
         return EventStats(count=count, mean_gap_iters=None,
                           mean_gap_seconds=None, min_gap_iters=None,
                           max_gap_iters=None)
-    gaps = [b.k - a.k for a, b in zip(log.entries, log.entries[1:])]
+    gaps = list(map(operator.sub, islice(ks, 1, None), ks))
     mean_iters = sum(gaps) / len(gaps)
     return EventStats(
         count=count,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from etseek import _kernel
 from etseek import trigger as _trigger
 from etseek.escore import (EventLog, LoopSpec, MapSpec, RowView,
-                           check_columns, event_log)
+                           check_columns, event_log, trajectory_row)
 
 _SCAN_LIMIT = 1_000_000
 
@@ -81,7 +81,7 @@ class AvgTrajectory:
     @property
     def records(self) -> RowView:
         """AvgRecord rows, built only when a row is read."""
-        return RowView(AvgRecord, self.columns)
+        return RowView(trajectory_row, (AvgRecord,), self.columns)
 
     def __len__(self) -> int:
         return len(self.columns.g_av)

@@ -172,16 +172,67 @@ def _build_config(values) -> ExperimentConfig:
 _FLAGS = ("0", "1")
 
 
-def _write_csv(path: Path, header, columns):
+def _float_cells(col):
+    """repr of each value of an array('d'), formatting each run of repeats once.
+
+    A cell reuses the previous cell's text while the value's bits repeat.
+    The test is on the bits, not ==, because -0.0 == 0.0 but their text
+    differs; a repeated nan has one text, so it is reused as well.
+    """
+    prev = text = None
+    for value, bits in zip(col, memoryview(col).cast("B").cast("Q")):
+        if bits != prev:
+            prev = bits
+            text = repr(value)
+        yield text
+
+
+def _write_csv(path: Path, header, rows):
     """Write a header line, then one comma-joined line per row of text cells.
 
-    columns holds one iterable of cell text per CSV column. No cell this
-    module writes contains a comma, a quote or a line break, so none needs
-    quoting.
+    rows is consumed lazily, one line at a time, so no column of text is
+    ever held whole. Float cells come from _float_cells, which formats a
+    value once per run of bitwise repeats; trajectory.csv passes its rows
+    through _passing_events, which writes events.csv in the same pass. No
+    cell this module writes contains a comma, a quote or a line break, so
+    none needs quoting.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line + "\n" for line in map(",".join, zip(*columns)))
+        fh.writelines(line + "\n" for line in map(",".join, rows))
+
+
+def _write_true_loop(trajectory_path: Path, events_path: Path,
+                     traj: escore.Trajectory, log: escore.EventLog):
+    """Write trajectory.csv and events.csv in one pass over the trajectory rows.
+
+    Event l happened at iteration k_l = log.ks[l] (the k = 0 seed event and
+    every fired row), and the kernel held that row's gradient and control
+    from then on. So its g_hat_held and u_held cells are the g_hat and u
+    text of trajectory row k_l, written to events.csv as that row passes;
+    no float is formatted twice, and no column of text is kept.
+    """
+    cols = traj.columns
+    rows = zip(map(str, range(len(traj))), *map(_float_cells, cols[:-1]),
+               map(_FLAGS.__getitem__, cols.triggered))
+    with open(events_path, "w", newline="") as events_fh:
+        events_fh.write("l,k_l,g_hat_held,u_held\n")
+        _write_csv(
+            trajectory_path,
+            ("k", "theta_hat", "theta", "y", "g_hat", "e", "u", "triggered"),
+            _passing_events(rows, log.ks, events_fh.write))
+
+
+def _passing_events(rows, ks, write):
+    """Yield the trajectory rows unchanged; write the event line of each row in ks."""
+    events = enumerate(ks)
+    l, k_l = next(events)
+    for k, row in enumerate(rows):
+        if k == k_l:
+            k_text, _, _, _, g_hat, _, u, _ = row
+            write(f"{l},{k_text},{g_hat},{u}\n")
+            l, k_l = next(events, (None, None))
+        yield row
 
 
 def _stats_lines(title: str, stats: analysis.EventStats) -> list[str]:
@@ -236,24 +287,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         traj, log = escore.run(config.map_spec, config.loop_spec,
                                config.trigger_spec, config.theta_hat0,
                                config.n_iters)
-        cols = traj.columns
-        final_theta = cols.theta[-1]
+        final_theta = traj.columns.theta[-1]
         trajectory_path = out / "trajectory.csv"
         events_path = out / "events.csv"
-        _write_csv(
-            trajectory_path,
-            ("k", "theta_hat", "theta", "y", "g_hat", "e", "u", "triggered"),
-            (map(str, range(len(traj))), map(repr, cols.theta_hat),
-             map(repr, cols.theta), map(repr, cols.y), map(repr, cols.gradient),
-             map(repr, cols.error), map(repr, cols.control),
-             map(_FLAGS.__getitem__, cols.triggered)))
-        entries = log.entries
-        _write_csv(
-            events_path,
-            ("l", "k_l", "g_hat_held", "u_held"),
-            ((str(ev.index) for ev in entries), (str(ev.k) for ev in entries),
-             (repr(ev.gradient) for ev in entries),
-             (repr(ev.control) for ev in entries)))
+        _write_true_loop(trajectory_path, events_path, traj, log)
         event_stats = analysis.event_statistics(log)
         report_lines += _stats_lines("true loop", event_stats)
         if _is_reference_config(config):
@@ -276,9 +313,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         _write_csv(
             avg_path,
             ("k", "g_av", "theta_tilde_av", "e_av", "triggered"),
-            (map(str, range(len(avg_traj))), map(repr, avg_cols.g_av),
-             map(repr, avg_cols.theta_tilde_av), map(repr, avg_cols.error),
-             map(_FLAGS.__getitem__, avg_cols.triggered)))
+            zip(map(str, range(len(avg_traj))),
+                *map(_float_cells, (avg_cols.g_av, avg_cols.theta_tilde_av,
+                                    avg_cols.error)),
+                map(_FLAGS.__getitem__, avg_cols.triggered)))
         avg_event_stats = analysis.event_statistics(avg_traj.events)
         report_lines += _stats_lines("average loop", avg_event_stats)
         decay = analysis.check_decay(
@@ -352,7 +390,7 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
         summary,
         ("value", "event_count", "mean_gap_seconds", "final_theta_error",
          "decay_pass", "rho0"),
-        zip(*rows))
+        rows)
     return summary
 
 

@@ -13,6 +13,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import count, islice, repeat
 from typing import NamedTuple
 
 from etseek import _kernel
@@ -69,14 +70,13 @@ class LoopSpec:
 class SimState:
     """Closed-loop state between iterations.
 
-    held_control always equals -gain_k * held_gradient; step maintains the
-    pair together so the applied input never drifts from the stored gradient.
+    The applied input is not stored: step derives it as -gain_k *
+    held_gradient, so it never drifts from the held gradient.
     """
 
     k: int
     theta_hat: float
     held_gradient: float
-    held_control: float
     last_event_k: int
 
     def __post_init__(self):
@@ -114,17 +114,19 @@ class StepColumns(NamedTuple):
 
 
 class RowView(Sequence):
-    """Read-only rows of a columnar trajectory, each record built on demand.
+    """Read-only rows over equal-length columns, each row built on demand.
 
-    Row k is record_type(k, *values at k) with the last column, the fired
-    flags, read as a bool. A slice gives a tuple of records. Two views are
-    equal when they build the same record type from equal columns.
+    Row i is make(*fixed, i, *values at i): make is a module-level builder,
+    fixed the per-view constants it takes (a record type, a gain). A slice
+    gives a tuple of rows. Two views are equal when they share make and have
+    equal fixed values and columns, so equal views build equal rows.
     """
 
-    __slots__ = ("_record_type", "_columns")
+    __slots__ = ("_make", "_fixed", "_columns")
 
-    def __init__(self, record_type, columns):
-        self._record_type = record_type
+    def __init__(self, make, fixed, columns):
+        self._make = make
+        self._fixed = fixed
         self._columns = columns
 
     def __len__(self) -> int:
@@ -132,27 +134,31 @@ class RowView(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self[k] for k in range(*index.indices(len(self))))
-        k = operator.index(index)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("trajectory row index out of range")
-        *values, fired = (col[k] for col in self._columns)
-        return self._record_type(k, *values, triggered=bool(fired))
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("row index out of range")
+        return self._make(*self._fixed, i, *[col[i] for col in self._columns])
 
     def __iter__(self):
-        make = self._record_type
-        for k, (*values, fired) in enumerate(zip(*self._columns)):
-            yield make(k, *values, triggered=bool(fired))
+        return map(self._make, *map(repeat, self._fixed), count(),
+                   *self._columns)
 
     def __eq__(self, other):
         if not isinstance(other, RowView):
             return NotImplemented
-        return (self._record_type is other._record_type
+        return (self._make is other._make and self._fixed == other._fixed
                 and self._columns == other._columns)
 
     __hash__ = None
+
+
+def trajectory_row(record_type, k, *values):
+    """record_type at iteration k; the last value, the fired flag, as a bool."""
+    *values, fired = values
+    return record_type(k, *values, triggered=bool(fired))
 
 
 def check_columns(owner: str, columns) -> None:
@@ -176,7 +182,7 @@ class Trajectory:
     @property
     def records(self) -> RowView:
         """StepRecord rows, built only when a row is read."""
-        return RowView(StepRecord, self.columns)
+        return RowView(trajectory_row, (StepRecord,), self.columns)
 
     def __len__(self) -> int:
         return len(self.columns.theta_hat)
@@ -194,20 +200,39 @@ class EventEntry:
 
 @dataclass(frozen=True)
 class EventLog:
-    """Ordered triggering instants of one run; the origin is always first."""
+    """Triggering instants of one run as columns; the origin is always first.
 
-    entries: tuple[EventEntry, ...]
+    Event l happened at iteration ks[l] and held gradients[l] from then on,
+    so the held control was -gain_k * gradients[l]. entries builds the
+    matching EventEntry rows only when they are read. For a true-loop run
+    both values are the trajectory's own gradient and control at row ks[l],
+    which is how the CLI writes events.csv without formatting them again.
+    """
+
+    ks: array
+    gradients: array
+    gain_k: float
     horizon: int
     epsilon: float
 
     def __post_init__(self):
-        if not self.entries:
+        check_columns("EventLog", (self.ks, self.gradients))
+        if not self.ks:
             raise ValueError("EventLog must contain the initial event")
-        if self.entries[0].k != 0:
+        if self.ks[0] != 0:
             raise ValueError("EventLog must start at k = 0")
-        for a, b in zip(self.entries, self.entries[1:]):
-            if b.k <= a.k:
-                raise ValueError("EventLog iterations must be strictly increasing")
+        if not all(map(operator.lt, self.ks, islice(self.ks, 1, None))):
+            raise ValueError("EventLog iterations must be strictly increasing")
+
+    @property
+    def entries(self) -> RowView:
+        """EventEntry rows, built only when a row is read."""
+        return RowView(_event_entry, (self.gain_k,), (self.ks, self.gradients))
+
+
+def _event_entry(gain_k, index, k, gradient):
+    return EventEntry(index=index, k=k, gradient=gradient,
+                      control=-gain_k * gradient)
 
 
 def eval_map(map_spec: MapSpec, theta: float) -> float:
@@ -235,17 +260,12 @@ def initial_state(map_spec: MapSpec, loop: LoopSpec, theta_hat0: float) -> SimSt
     """Fresh state with the origin as a triggering instant.
 
     The hold is seeded with the gradient estimate the loop would observe at
-    k = 0, so the first step sees a measurement error of exactly zero.
+    k = 0, so the first step sees a measurement error of exactly zero. The
+    input it applies is -gain_k * g0, the control of that initial event.
     """
     y0 = eval_map(map_spec, theta_hat0 + dither(loop, 0))
     g0 = demodulate(loop, 0, y0)
-    return SimState(
-        k=0,
-        theta_hat=theta_hat0,
-        held_gradient=g0,
-        held_control=-loop.gain_k * g0,
-        last_event_k=0,
-    )
+    return SimState(k=0, theta_hat=theta_hat0, held_gradient=g0, last_event_k=0)
 
 
 def step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
@@ -266,17 +286,15 @@ def step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     fired = _trigger.should_trigger(trig, g, e)
     if fired:
         held_g = g
-        held_u = -loop.gain_k * g
         last_event = k
     else:
         held_g = state.held_gradient
-        held_u = state.held_control
         last_event = state.last_event_k
+    held_u = -loop.gain_k * held_g
     next_state = SimState(
         k=k + 1,
         theta_hat=integrate(loop, state.theta_hat, held_u),
         held_gradient=held_g,
-        held_control=held_u,
         last_event_k=last_event,
     )
     record = StepRecord(k=k, theta_hat=state.theta_hat, theta=theta, y=y,
@@ -304,8 +322,7 @@ def run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
 
 
 def event_log(loop: LoopSpec, event_columns, horizon: int) -> EventLog:
-    """EventLog from a kernel's (ks, gradients) event columns."""
-    entries = tuple(
-        EventEntry(index=l, k=ev_k, gradient=ev_g, control=-loop.gain_k * ev_g)
-        for l, (ev_k, ev_g) in enumerate(zip(*event_columns)))
-    return EventLog(entries=entries, horizon=horizon, epsilon=loop.epsilon)
+    """EventLog over a kernel's (ks, gradients) event columns, kept as they are."""
+    ks, gradients = event_columns
+    return EventLog(ks=ks, gradients=gradients, gain_k=loop.gain_k,
+                    horizon=horizon, epsilon=loop.epsilon)

@@ -2,12 +2,12 @@
 
 import math
 import random
+from array import array
 from dataclasses import replace
 
 import pytest
 
 from etseek import (
-    EventEntry,
     EventLog,
     avg_run,
     check_decay,
@@ -218,9 +218,8 @@ def test_envelopes_reject_negative_offset():
 
 
 def _log(ks, epsilon=0.18, horizon=1000):
-    entries = tuple(EventEntry(index=i, k=k, gradient=0.1, control=24.0)
-                    for i, k in enumerate(ks))
-    return EventLog(entries=entries, horizon=horizon, epsilon=epsilon)
+    return EventLog(ks=array("q", ks), gradients=array("d", [0.1] * len(ks)),
+                    gain_k=-240.0, horizon=horizon, epsilon=epsilon)
 
 
 def test_event_statistics_example():
@@ -243,7 +242,7 @@ def test_event_statistics_single_event():
 
 def test_event_log_invariants():
     with pytest.raises(ValueError, match="initial event"):
-        EventLog(entries=(), horizon=10, epsilon=0.18)
+        _log([], horizon=10)
     with pytest.raises(ValueError, match="start at k = 0"):
         _log([5, 10])
     with pytest.raises(ValueError, match="strictly increasing"):

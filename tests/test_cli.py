@@ -4,12 +4,14 @@ import csv
 import io
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
 from etseek import (
     AvgRecord,
+    EventEntry,
     LoopSpec,
     MapSpec,
     StepRecord,
@@ -21,7 +23,8 @@ from etseek import (
     lyapunov_sequence,
     validate_assumption,
 )
-from etseek.cli import ConfigError, main, parse_config, run_experiment, sweep
+from etseek.cli import (ConfigError, _float_cells, main, parse_config,
+                        run_experiment, sweep)
 from helpers import (
     REFERENCE_CFG,
     REFERENCE_N_ITERS,
@@ -359,15 +362,20 @@ def _specs(config):
     return config.map_spec, config.loop_spec, config.trigger_spec
 
 
-def test_csv_files_match_the_csv_writer_oracle(tmp_path):
-    # the goldens hold one event and finite values only; these runs fire
-    # often, and the diverging one also writes -0.0, inf and -inf cells
-    text = REFERENCE_CFG.read_text()
-    fires = text
+def _many_fires_config_text():
+    fires = REFERENCE_CFG.read_text()
     for old, new in (("q_star = 2.0", "q_star = 0.0"), ("k = -240.0", "k = -20.0"),
                      ("alpha = 0.74", "alpha = 0.9"),
                      ("n_iters = 1000", "n_iters = 3000")):
         fires = _edit(fires, old, new)
+    return fires
+
+
+def test_csv_files_match_the_csv_writer_oracle(tmp_path):
+    # the goldens hold one event and finite values only; these runs fire
+    # often, and the diverging one also writes -0.0, inf and -inf cells
+    text = REFERENCE_CFG.read_text()
+    fires = _many_fires_config_text()
     diverging = _edit(text, "alpha = 0.74", "alpha = 2.0")
     for name, cfg_text in (("fires", fires), ("diverging", diverging)):
         result = _run_into(tmp_path, name, cfg_text)
@@ -446,3 +454,31 @@ def test_run_experiment_builds_no_record_objects(tmp_path, monkeypatch):
     traj.records[-1]
     list(avg.records)
     assert built == ["StepRecord"] + ["AvgRecord"] * 10
+
+
+def test_run_experiment_builds_no_event_entries(tmp_path, monkeypatch):
+    # events.csv is written from the trajectory's own cells and the event
+    # statistics read log.ks, so no EventEntry is built on the hot path
+    built = []
+
+    def counted(self, *args, _init=EventEntry.__init__, **kwargs):
+        built.append(1)
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EventEntry, "__init__", counted)
+    result = _run_into(tmp_path, "fires", _many_fires_config_text())
+    assert result.event_stats.count > 1000
+    assert result.events_path.read_text().count("\n") == result.event_stats.count + 1
+    assert built == []
+    traj, log = escore.run(*reference_specs(), REFERENCE_THETA_HAT0, 10)
+    assert log.entries[-1].k == 0
+    assert built == [1]
+
+
+def test_float_cells_reuse_text_only_for_repeated_bits():
+    # -0.0 == 0.0 and nan != nan: only a bitwise repeat may reuse the text
+    nan, inf = float("nan"), float("inf")
+    for values in ([0.0, -0.0, -0.0, 0.0, nan, nan, inf, inf, -inf, 5e-324, 5e-324],
+                   [-0.0], []):
+        column = array("d", values)
+        assert list(_float_cells(column)) == [repr(v) for v in values]

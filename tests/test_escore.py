@@ -93,13 +93,13 @@ def test_integrate_examples():
 
 
 def test_initial_state_seeds_hold_from_origin():
-    map_spec, loop, _ = reference_specs()
+    map_spec, loop, trig = reference_specs()
     state = initial_state(map_spec, loop, REFERENCE_THETA_HAT0)
     g0 = demodulate(loop, 0, eval_map(map_spec, REFERENCE_THETA_HAT0))
     assert state.k == 0
     assert state.last_event_k == 0
     assert state.held_gradient == g0
-    assert state.held_control == -loop.gain_k * g0
+    assert step(map_spec, loop, trig, state)[1].control == -loop.gain_k * g0
 
 
 def test_first_step_has_zero_error_and_no_fire():
@@ -109,7 +109,7 @@ def test_first_step_has_zero_error_and_no_fire():
     assert rec.k == 0
     assert rec.error == 0.0
     assert rec.triggered is False  # strict inequality cannot fire on e = 0
-    assert rec.control == state.held_control
+    assert rec.control == -loop.gain_k * state.held_gradient
     assert nxt.k == 1
     assert nxt.theta_hat == integrate(loop, state.theta_hat, rec.control)
 
@@ -117,7 +117,7 @@ def test_first_step_has_zero_error_and_no_fire():
 def test_step_composes_the_documented_operations():
     map_spec, loop, trig = reference_specs()
     state = escore.SimState(k=7, theta_hat=1.3, held_gradient=0.02,
-                            held_control=-loop.gain_k * 0.02, last_event_k=3)
+                            last_event_k=3)
     nxt, rec = step(map_spec, loop, trig, state)
     theta = state.theta_hat + dither(loop, 7)
     y = eval_map(map_spec, theta)
@@ -127,6 +127,7 @@ def test_step_composes_the_documented_operations():
     assert rec.gradient == g
     assert rec.error == state.held_gradient - g
     assert rec.theta_hat == state.theta_hat
+    assert rec.control == -loop.gain_k * (g if rec.triggered else 0.02)
     assert nxt.theta_hat == integrate(loop, state.theta_hat, rec.control)
 
 

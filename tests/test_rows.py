@@ -1,24 +1,30 @@
-"""Columnar trajectories and their on-demand row views.
+"""Columnar trajectories, the columnar event log, and their on-demand row views.
 
 Trajectory and AvgTrajectory hold one column per recorded value; records is
 a read-only sequence that builds a StepRecord or AvgRecord only for the row
-asked for. These tests pin the sequence behaviour the old tuple of records
-had, and the column-length invariant.
+asked for. EventLog holds the (ks, gradients) event columns; entries builds
+an EventEntry the same way. These tests pin the sequence behaviour the old
+tuples of records and entries had, and the column invariants.
 """
 
+from array import array
 from dataclasses import replace
 
 import pytest
 
-from etseek import AvgRecord, AvgTrajectory, StepRecord, Trajectory, avg_run, run
+from etseek import (AvgRecord, AvgTrajectory, EventEntry, EventLog, StepRecord,
+                    Trajectory, avg_run, run)
 from helpers import REFERENCE_THETA_HAT0, reference_specs
 
 
 def _true_run(n, **trigger_changes):
+    return _true_run_and_log(n, **trigger_changes)[0]
+
+
+def _true_run_and_log(n, **trigger_changes):
     map_spec, loop, trig = reference_specs()
-    traj, _ = run(map_spec, loop, replace(trig, **trigger_changes),
-                  REFERENCE_THETA_HAT0, n)
-    return traj
+    return run(map_spec, loop, replace(trig, **trigger_changes),
+               REFERENCE_THETA_HAT0, n)
 
 
 def _avg_run(n):
@@ -80,3 +86,56 @@ def test_trajectories_reject_columns_of_unequal_length():
         AvgTrajectory(columns=acols._replace(triggered=acols.triggered[1:]),
                       events=avg.events, map_spec=avg.map_spec,
                       loop_spec=avg.loop_spec, trigger_spec=avg.trigger_spec)
+
+
+def _event_log(ks, gradients=None, gain_k=-240.0):
+    gradients = [0.5 * k for k in ks] if gradients is None else gradients
+    return EventLog(ks=array("q", ks), gradients=array("d", gradients),
+                    gain_k=gain_k, horizon=100, epsilon=0.18)
+
+
+def test_event_log_rejects_bad_columns():
+    with pytest.raises(ValueError, match="^EventLog must contain the initial event$"):
+        _event_log([])
+    with pytest.raises(ValueError, match="^EventLog must start at k = 0$"):
+        _event_log([5, 10])
+    for ks in ([0, 7, 7], [0, 7, 3], [0, 0]):
+        with pytest.raises(ValueError,
+                           match="^EventLog iterations must be strictly increasing$"):
+            _event_log(ks)
+    with pytest.raises(ValueError, match="^EventLog columns must have equal lengths$"):
+        _event_log([0, 3], gradients=[0.1])
+    assert len(_event_log([0]).entries) == 1
+
+
+def test_event_log_entries_are_built_on_demand_from_the_columns():
+    log = _event_log([0, 3, 4, 9], gradients=[0.1, -0.0, 2.5, -1e300])
+    entries = log.entries
+    listed = list(entries)
+    assert listed == [EventEntry(index=l, k=k, gradient=g, control=240.0 * g)
+                      for l, (k, g) in enumerate(zip(log.ks, log.gradients))]
+    assert len(entries) == 4
+    assert entries[0] == listed[0] and entries[-1] == listed[3]
+    assert entries[-4] == listed[0]
+    assert entries[1:3] == tuple(listed[1:3])
+    assert entries[::-1] == tuple(reversed(listed))
+    assert entries[9:] == ()
+    for bad in (4, -5):
+        with pytest.raises(IndexError):
+            entries[bad]
+    assert repr(entries[1].control) == "-0.0"  # 240.0 * -0.0
+
+
+def test_event_logs_of_identical_runs_compare_equal():
+    traj, log = _true_run_and_log(300, alpha=2.0)
+    _, again = _true_run_and_log(300, alpha=2.0)
+    assert len(log.entries) > 2
+    assert log == again and log.entries == again.entries
+    assert log != _true_run_and_log(301, alpha=2.0)[1]  # another horizon
+    assert log.entries != _true_run_and_log(300)[1].entries
+    assert (_event_log([0, 3]).entries
+            != _event_log([0, 3], gain_k=-20.0).entries)
+    # each entry holds what the trajectory applied from its instant on
+    for entry in log.entries:
+        row = traj.records[entry.k]
+        assert (entry.gradient, entry.control) == (row.gradient, row.control)
