@@ -29,7 +29,6 @@ from etseek.average import (
     avg_run,
     avg_step,
     closed_form_between_events,
-    coefficients,
     min_inter_event_estimate,
 )
 from etseek.escore import (
@@ -51,6 +50,7 @@ from etseek.escore import (
 from etseek.trigger import (
     AssumptionReport,
     TriggerSpec,
+    contraction_increment,
     measurement_error,
     should_trigger,
     validate_assumption,
@@ -81,7 +81,7 @@ __all__ = [
     "avg_step",
     "check_decay",
     "closed_form_between_events",
-    "coefficients",
+    "contraction_increment",
     "convergence_envelopes",
     "decay_rate",
     "demodulate",

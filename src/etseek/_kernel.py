@@ -72,21 +72,19 @@ def run_loop(q_star, h_star, theta_star, a, omega, epsilon, gain_k,
     return columns, events
 
 
-def avg_loop(h_star, c_g, c_t, sigma, alpha, theta_tilde0, n_iters):
+def avg_loop(h_star, c_g, sigma, alpha, theta_tilde0, n_iters):
     """Step the averaged closed loop n_iters times from k = 0.
 
-    c_g is the gradient contraction increment (eps*a^2*H*K/2) and c_t its
-    input-error counterpart for the parameter estimate (eps*a^2*K/2); the
-    caller computes both so the coefficients match the diagnostics exactly.
-
-    columns is (g_av, theta_tilde_av, held_g_av, error, fired), indexed by
-    k; held_g_av is the post-fire hold and error the pre-fire value,
-    matching the true-loop layout. events is (ks, gradients) as in run_loop.
+    c_g is trigger.contraction_increment, passed in so the recursion
+    matches the diagnostics exactly. g is the only state: the
+    theta_tilde_av column is g / h_star, so g_av = h_star * theta_tilde_av
+    by construction. columns is (g_av, theta_tilde_av, held_g_av, error,
+    fired), indexed by k, with the post-fire hold and the pre-fire error as
+    in run_loop; events is (ks, gradients) as in run_loop.
     """
     root_sigma = sqrt(sigma)
     rho0 = 1.0 - c_g
     g = h_star * theta_tilde0
-    tt = theta_tilde0
     held = g
     columns = (array("d"), array("d"), array("d"), array("d"), array("b"))
     add_g, add_tt, add_held, add_e, add_fired = (col.append for col in columns)
@@ -103,10 +101,9 @@ def avg_loop(h_star, c_g, c_t, sigma, alpha, theta_tilde0, n_iters):
         else:
             e_post = e
         add_g(g)
-        add_tt(tt)
+        add_tt(g / h_star)
         add_held(held)
         add_e(e)
         add_fired(fired)
         g = rho0 * g - c_g * e_post
-        tt = rho0 * tt - c_t * e_post
     return columns, events

@@ -160,19 +160,12 @@ def check_decay(v_sequence: Sequence[float], map_spec: MapSpec,
     worst signed overshoot of V[k+1] - rho*V[k] over the slack.
     """
     rho = decay_rate(map_spec, loop, trig)
-    first = None
-    worst = 0.0
-    checked = 0
-    for k in range(len(v_sequence) - 1):
-        excess = v_sequence[k + 1] - rho * v_sequence[k] - DECAY_SLACK
-        if excess > 0.0:
-            if first is None:
-                first = k
-            if excess > worst:
-                worst = excess
-        checked += 1
-    return DecayReport(rho=rho, checked=checked, passed=first is None,
-                       first_violation_k=first, max_excess=worst)
+    pairs = range(len(v_sequence) - 1)
+    check = _check_envelope("V", (
+        v_sequence[k + 1] - rho * v_sequence[k] - DECAY_SLACK for k in pairs))
+    return DecayReport(rho=rho, checked=len(pairs), passed=check.passed,
+                       first_violation_k=check.first_violation_k,
+                       max_excess=check.max_excess)
 
 
 def _powers(rho: float, exponents) -> list[float]:

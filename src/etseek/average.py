@@ -15,19 +15,19 @@ from typing import NamedTuple
 
 from etseek import _kernel
 from etseek import trigger as _trigger
-from etseek.escore import (EventLog, LoopSpec, MapSpec, RowView,
-                           check_columns, event_log, trajectory_row)
+from etseek.escore import (EventLog, LoopSpec, MapSpec, RowView, check_columns,
+                           event_log, eq_by_bits, trajectory_row)
 
 _SCAN_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
 class AvgState:
-    """Averaged-loop state: gradient estimate, parameter error, and hold."""
+    """Averaged-loop state: gradient estimate and hold. The parameter error
+    is g_av / h_star, so g_av = h_star * theta_tilde_av by construction."""
 
     k: int
     g_av: float
-    theta_tilde_av: float
     held_g_av: float
     last_event_k: int
 
@@ -78,6 +78,8 @@ class AvgTrajectory:
     def __post_init__(self):
         check_columns("AvgTrajectory", self.columns)
 
+    __eq__ = eq_by_bits
+
     @property
     def records(self) -> RowView:
         """AvgRecord rows, built only when a row is read."""
@@ -99,27 +101,15 @@ class ZenoEstimate:
             raise ValueError("ZenoEstimate.k_star must be >= 1")
 
 
-def coefficients(map_spec: MapSpec, loop: LoopSpec) -> tuple[float, float]:
-    """Contraction increments (c_g, c_t) of the averaged recursion.
-
-    c_g = eps*a^2*H*K/2 drives the gradient estimate; c_t = eps*a^2*K/2 is
-    its counterpart on the parameter error, the unique coefficient that keeps
-    g_av = h_star * theta_tilde_av exact along seeded trajectories.
-    """
-    a = loop.amplitude_a
-    c_g = loop.epsilon * a * a * map_spec.h_star * loop.gain_k / 2.0
-    c_t = loop.epsilon * a * a * loop.gain_k / 2.0
-    return c_g, c_t
-
-
 def avg_step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
              state: AvgState) -> AvgState:
     """Advance the averaged loop one iteration.
 
     Same ordering contract as the true loop: the trigger sees the pre-fire
-    error, the state update uses the post-fire one.
+    error, the state update uses the post-fire one. Only g_av is updated:
+    the parameter error is g_av / h_star, with nothing to keep in step.
     """
-    c_g, c_t = coefficients(map_spec, loop)
+    c_g = _trigger.contraction_increment(map_spec, loop)
     rho0 = 1.0 - c_g
     e = _trigger.measurement_error(state.held_g_av, state.g_av)
     fired = _trigger.should_trigger(trig, state.g_av, e)
@@ -134,7 +124,6 @@ def avg_step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     return AvgState(
         k=state.k + 1,
         g_av=rho0 * state.g_av - c_g * e_post,
-        theta_tilde_av=rho0 * state.theta_tilde_av - c_t * e_post,
         held_g_av=held,
         last_event_k=last_event,
     )
@@ -149,7 +138,7 @@ def closed_form_between_events(map_spec: MapSpec, loop: LoopSpec,
     """
     if n < 0:
         raise ValueError("closed_form_between_events requires n >= 0")
-    c_g, _ = coefficients(map_spec, loop)
+    c_g = _trigger.contraction_increment(map_spec, loop)
     nc = n * c_g
     return (1.0 - nc) * g_at_event, nc * g_at_event
 
@@ -166,7 +155,7 @@ def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
     """
     if epsilon_term < 0:
         raise ValueError("min_inter_event_estimate requires epsilon_term >= 0")
-    c_g, _ = coefficients(map_spec, loop)
+    c_g = _trigger.contraction_increment(map_spec, loop)
     root_sigma = math.sqrt(trig.sigma)
     for n in range(1, _SCAN_LIMIT + 1):
         nc = n * c_g
@@ -189,10 +178,9 @@ def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """
     if n_iters < 1:
         raise ValueError("avg_run requires n_iters >= 1")
-    c_g, c_t = coefficients(map_spec, loop)
     columns, event_columns = _kernel.avg_loop(
-        map_spec.h_star, c_g, c_t, trig.sigma, trig.alpha,
-        theta_tilde0, n_iters)
+        map_spec.h_star, _trigger.contraction_increment(map_spec, loop),
+        trig.sigma, trig.alpha, theta_tilde0, n_iters)
     return AvgTrajectory(columns=AvgColumns(*columns),
                          events=event_log(loop, event_columns, n_iters),
                          map_spec=map_spec, loop_spec=loop, trigger_spec=trig)

@@ -113,16 +113,31 @@ class StepColumns(NamedTuple):
     triggered: array
 
 
+def same_bits(a, b) -> bool:
+    """==, but arrays compare by typecode and bytes and tuples item by item:
+    0.0 and -0.0 differ and a NaN equals itself, as their CSV cells do."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, array) and isinstance(b, array):
+        return a.typecode == b.typecode and a.tobytes() == b.tobytes()
+    return a == b
+
+
+def eq_by_bits(self, other):
+    """__eq__ of the types that hold columns: same type, attributes same_bits."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return same_bits(tuple(vars(self).values()), tuple(vars(other).values()))
+
+
 class RowView(Sequence):
     """Read-only rows over equal-length columns, each row built on demand.
 
     Row i is make(*fixed, i, *values at i): make is a module-level builder,
     fixed the per-view constants it takes (a record type, a gain). A slice
     gives a tuple of rows. Two views are equal when they share make and have
-    equal fixed values and columns, so equal views build equal rows.
+    equal fixed values and same_bits columns, so they build equal rows.
     """
-
-    __slots__ = ("_make", "_fixed", "_columns")
 
     def __init__(self, make, fixed, columns):
         self._make = make
@@ -133,25 +148,16 @@ class RowView(Sequence):
         return len(self._columns[0])
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("row index out of range")
+        i = range(len(self))[index]  # bounds and slices as for a tuple
+        if isinstance(i, range):
+            return tuple(map(self.__getitem__, i))
         return self._make(*self._fixed, i, *[col[i] for col in self._columns])
 
     def __iter__(self):
         return map(self._make, *map(repeat, self._fixed), count(),
                    *self._columns)
 
-    def __eq__(self, other):
-        if not isinstance(other, RowView):
-            return NotImplemented
-        return (self._make is other._make and self._fixed == other._fixed
-                and self._columns == other._columns)
-
+    __eq__ = eq_by_bits
     __hash__ = None
 
 
@@ -178,6 +184,8 @@ class Trajectory:
 
     def __post_init__(self):
         check_columns("Trajectory", self.columns)
+
+    __eq__ = eq_by_bits
 
     @property
     def records(self) -> RowView:
@@ -223,6 +231,8 @@ class EventLog:
             raise ValueError("EventLog must start at k = 0")
         if not all(map(operator.lt, self.ks, islice(self.ks, 1, None))):
             raise ValueError("EventLog iterations must be strictly increasing")
+
+    __eq__ = eq_by_bits
 
     @property
     def entries(self) -> RowView:

@@ -80,21 +80,32 @@ def should_trigger(trig: TriggerSpec, gradient: float, error: float) -> bool:
     return math.sqrt(trig.sigma) * abs(gradient) - trig.alpha * abs(error) < 0.0
 
 
+def contraction_increment(map_spec: "MapSpec", loop: "LoopSpec") -> float:
+    """Contraction increment c_g = eps*a^2*H*K/2 of the averaged loop.
+
+    g_av steps as (1 - c_g)*g_av - c_g*e, so rho0 = 1 - c_g. It is the only
+    coefficient: the parameter error is g_av / h_star by construction. The
+    averaged loop, its closed form and these diagnostics all take it here.
+    """
+    a = loop.amplitude_a
+    return loop.epsilon * a * a * map_spec.h_star * loop.gain_k / 2.0
+
+
 def validate_assumption(map_spec: "MapSpec", loop: "LoopSpec",
                         trig: TriggerSpec) -> AssumptionReport:
     """Check the contraction factor and the minimal-alpha bound.
 
-    rho0 = 1 - eps*a^2*H*K/2 must sit in (0,1) in magnitude and the gain must
-    share the curvature's sign for the averaged loop to contract; alpha must
-    exceed (eps*a^2*|H||K|/sqrt(2)) * sqrt(1+7*rho0^2)/(1-rho0^2). All
-    outcomes are flags on the report, not exceptions.
+    rho0 = 1 - c_g must sit in (0,1) in magnitude and the gain must share
+    the curvature's sign for the averaged loop to contract; alpha must
+    exceed (2*|c_g|/sqrt(2)) * sqrt(1+7*rho0^2)/(1-rho0^2), where 2*|c_g| is
+    eps*a^2*|H||K|. All outcomes are flags on the report, not exceptions.
     """
-    a = loop.amplitude_a
-    rho0 = 1.0 - loop.epsilon * a * a * map_spec.h_star * loop.gain_k / 2.0
+    c_g = contraction_increment(map_spec, loop)
+    rho0 = 1.0 - c_g
     denominator = 1.0 - rho0 * rho0
     defined = denominator > 0.0
     if defined:
-        scale = loop.epsilon * a * a * abs(map_spec.h_star) * abs(loop.gain_k) / math.sqrt(2.0)
+        scale = 2.0 * abs(c_g) / math.sqrt(2.0)
         alpha_min = scale * math.sqrt(1.0 + 7.0 * rho0 * rho0) / denominator
     else:
         alpha_min = float("nan")

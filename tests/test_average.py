@@ -1,6 +1,9 @@
 """Averaged loop: stepping, closed form, gap estimate, run-level invariants."""
 
+import math
 import random
+import struct
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +13,7 @@ from etseek import (
     avg_run,
     avg_step,
     closed_form_between_events,
-    coefficients,
+    contraction_increment,
     min_inter_event_estimate,
     validate_assumption,
 )
@@ -18,27 +21,28 @@ from etseek.average import AvgState
 from helpers import draw_specs, reference_specs
 
 
-def _event_state(g, h_star):
+def _event_state(g):
     # state right at a triggering instant: hold equals the current value
-    return AvgState(k=0, g_av=g, theta_tilde_av=g / h_star, held_g_av=g,
-                    last_event_k=0)
+    return AvgState(k=0, g_av=g, held_g_av=g, last_event_k=0)
 
 
-def test_coefficients_match_assumption_report():
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def test_contraction_increment_matches_assumption_report():
     map_spec, loop, trig = reference_specs()
-    c_g, c_t = coefficients(map_spec, loop)
+    c_g = contraction_increment(map_spec, loop)
     assert c_g == pytest.approx(0.1512, abs=1e-15)
-    assert c_t == pytest.approx(-0.216, abs=1e-15)
-    assert c_t * map_spec.h_star == pytest.approx(c_g, rel=1e-15)
-    # same expression, same rounding: rho0 must be exactly 1 - c_g
+    # one expression, one rounding: rho0 must be exactly 1 - c_g
     assert validate_assumption(map_spec, loop, trig).rho0 == 1.0 - c_g
 
 
 def test_avg_step_contracts_at_event_instant():
     map_spec, loop, trig = reference_specs()
-    c_g, _ = coefficients(map_spec, loop)
+    c_g = contraction_increment(map_spec, loop)
     for g in (1.75, -0.3, 1e-9):
-        nxt = avg_step(map_spec, loop, trig, _event_state(g, map_spec.h_star))
+        nxt = avg_step(map_spec, loop, trig, _event_state(g))
         assert nxt.g_av == (1.0 - c_g) * g
         assert nxt.g_av == pytest.approx(0.8488 * g, rel=1e-12)
         assert nxt.k == 1
@@ -47,17 +51,15 @@ def test_avg_step_contracts_at_event_instant():
 
 def test_avg_step_origin_is_fixed_point():
     map_spec, loop, trig = reference_specs()
-    state = AvgState(k=0, g_av=0.0, theta_tilde_av=0.0, held_g_av=0.0,
-                     last_event_k=0)
+    state = AvgState(k=0, g_av=0.0, held_g_av=0.0, last_event_k=0)
     nxt = avg_step(map_spec, loop, trig, state)
     assert nxt.g_av == 0.0
-    assert nxt.theta_tilde_av == 0.0
     assert nxt.held_g_av == 0.0
 
 
 def test_avg_step_two_iterations_by_hand():
     map_spec, loop, trig = reference_specs()
-    state = _event_state(1.0, map_spec.h_star)
+    state = _event_state(1.0)
     state = avg_step(map_spec, loop, trig, state)
     state = avg_step(map_spec, loop, trig, state)
     assert state.g_av == pytest.approx(0.6976, abs=1e-15)
@@ -65,17 +67,21 @@ def test_avg_step_two_iterations_by_hand():
 
 
 def test_avg_step_keeps_proportionality():
-    # the theta_tilde coefficient is h_star'th of the gradient one, so the
-    # seeded ratio g_av = h_star*theta_tilde_av survives every update
+    # the averaged recursion and its trigger are homogeneous in g_av: a state
+    # scaled by a power of two, or negated, stays scaled by exactly that
+    # factor, with the same firing instants
     rng = random.Random(202)
     for _ in range(300):
         map_spec, loop, trig = draw_specs(rng)
         g = rng.uniform(-3.0, 3.0)
-        state = _event_state(g, map_spec.h_star)
+        factor = rng.choice([-1.0, 0.5, -4.0, 1024.0])
+        state, scaled = _event_state(g), _event_state(factor * g)
         for _ in range(20):
             state = avg_step(map_spec, loop, trig, state)
-            assert state.g_av == pytest.approx(
-                map_spec.h_star * state.theta_tilde_av, abs=1e-12)
+            scaled = avg_step(map_spec, loop, trig, scaled)
+            assert scaled.g_av == factor * state.g_av
+            assert scaled.held_g_av == factor * state.held_g_av
+            assert scaled.last_event_k == state.last_event_k
 
 
 def test_closed_form_examples():
@@ -100,7 +106,7 @@ def test_closed_form_telescopes_to_the_event_value():
 
 def test_closed_form_matches_stepping():
     map_spec, loop, trig = reference_specs()
-    state = _event_state(1.0, map_spec.h_star)
+    state = _event_state(1.0)
     for n in range(1, 4):  # stretch before the first refire
         state = avg_step(map_spec, loop, trig, state)
         g_av, e_av = closed_form_between_events(map_spec, loop, 1.0, n)
@@ -148,8 +154,7 @@ def test_zeno_estimate_invariant():
 
 def test_avg_state_invariant():
     with pytest.raises(ValueError, match="last_event_k"):
-        AvgState(k=2, g_av=0.0, theta_tilde_av=0.0, held_g_av=0.0,
-                 last_event_k=5)
+        AvgState(k=2, g_av=0.0, held_g_av=0.0, last_event_k=5)
 
 
 def test_avg_run_zero_start_stays_zero():
@@ -184,17 +189,28 @@ def test_avg_run_seeds_gradient_from_theta_tilde():
 
 
 def test_avg_run_proportionality_along_trajectory():
-    # stated for contractive loops (0 < c_g < 1); non-contractive draws let
-    # the two recursions' roundoff compound along the divergence instead
+    # theta_tilde_av is read off g_av, so the ratio is exact on every draw,
+    # contractive (0 < c_g < 1) or not
     rng = random.Random(204)
-    done = 0
-    while done < 200:
+    for _ in range(200):
         map_spec, loop, trig = draw_specs(rng)
-        c_g, _ = coefficients(map_spec, loop)
-        if not 0.0 < c_g < 1.0:
-            continue
-        done += 1
         traj = avg_run(map_spec, loop, trig, rng.uniform(-5.0, 5.0), 80)
         scale = max(1.0, max(abs(r.g_av) for r in traj.records))
         for r in traj.records:
+            assert _bits(r.theta_tilde_av) == _bits(r.g_av / map_spec.h_star)
             assert abs(r.g_av - map_spec.h_star * r.theta_tilde_av) <= 1e-12 * scale
+
+
+def test_theta_tilde_av_tracks_g_av_when_rho0_exceeds_one():
+    # gain 240 has the curvature's sign wrong (rho0 = 1.1512) and never
+    # fires: g_av grows linearly to about 1e4, and theta_tilde_av must follow
+    # it instead of compounding its own rounding error to inf
+    map_spec, loop, trig = reference_specs()
+    loop = replace(loop, gain_k=240.0)
+    assert validate_assumption(map_spec, loop, trig).rho0 > 1.0
+    traj = avg_run(map_spec, loop, trig, -2.5, 40000)
+    cols = traj.columns
+    assert len(traj.events.ks) == 1
+    assert all(map(math.isfinite, cols.theta_tilde_av))
+    assert all(_bits(t) == _bits(g / map_spec.h_star)
+               for g, t in zip(cols.g_av, cols.theta_tilde_av))

@@ -8,7 +8,9 @@ repr so that NaN, infinities, and signed zeros are compared by identity
 rather than IEEE equality.
 """
 
+import math
 import random
+import struct
 from dataclasses import replace
 
 from etseek import escore
@@ -25,6 +27,10 @@ from helpers import (
 
 def _r(rows):
     return [tuple(repr(c) for c in row) for row in rows]
+
+
+def _bits(x):
+    return struct.pack("<d", x)
 
 
 def _recompose_true(map_spec, loop, trig, theta0, n):
@@ -68,14 +74,13 @@ def test_avg_run_matches_avg_step_composition():
     for (map_spec, loop, trig), tt0 in cases:
         traj = avg_run(map_spec, loop, trig, tt0, 120)
         g0 = map_spec.h_star * tt0
-        state = AvgState(k=0, g_av=g0, theta_tilde_av=tt0, held_g_av=g0,
-                         last_event_k=0)
+        state = AvgState(k=0, g_av=g0, held_g_av=g0, last_event_k=0)
         for rec in traj.records:
             e = measurement_error(state.held_g_av, state.g_av)
             nxt = avg_step(map_spec, loop, trig, state)
             fired = nxt.last_event_k == state.k and state.k > 0
             assert repr(rec.g_av) == repr(state.g_av)
-            assert repr(rec.theta_tilde_av) == repr(state.theta_tilde_av)
+            assert repr(rec.theta_tilde_av) == repr(state.g_av / map_spec.h_star)
             assert repr(rec.held_g_av) == repr(nxt.held_g_av)
             assert repr(rec.error) == repr(e)
             assert rec.triggered == fired
@@ -99,15 +104,14 @@ def test_rows_match_step_composition_on_diverging_run():
 
 
 def test_avg_rows_match_avg_step_composition():
-    # rho0 > 1 (gain 240) drives theta_tilde_av past the float range
+    # rho0 > 1 (gain 240): g_av grows linearly and theta_tilde_av follows it
     map_spec, loop, trig = reference_specs()
     cases = [(loop, trig, 200), (loop, replace(trig, alpha=2.0), 200),
              (replace(loop, gain_k=240.0), trig, 6000)]
     for case_loop, case_trig, n in cases:
         traj = avg_run(map_spec, case_loop, case_trig, -2.5, n)
         g0 = map_spec.h_star * -2.5
-        state = AvgState(k=0, g_av=g0, theta_tilde_av=-2.5, held_g_av=g0,
-                         last_event_k=0)
+        state = AvgState(k=0, g_av=g0, held_g_av=g0, last_event_k=0)
         expected = []
         for _ in range(n):
             e = measurement_error(state.held_g_av, state.g_av)
@@ -115,8 +119,11 @@ def test_avg_rows_match_avg_step_composition():
             fired = nxt.last_event_k == state.k and state.k > 0
             expected.append(repr(AvgRecord(
                 k=state.k, g_av=state.g_av,
-                theta_tilde_av=state.theta_tilde_av,
+                theta_tilde_av=state.g_av / map_spec.h_star,
                 held_g_av=nxt.held_g_av, error=e, triggered=fired)))
             state = nxt
         assert [repr(r) for r in traj.records] == expected
-    assert "theta_tilde_av=inf" in expected[-1]  # the gain-240 case
+    # the gain-240 case: theta_tilde_av stays finite and tracks g_av / h_star
+    assert all(math.isfinite(r.theta_tilde_av) and
+               _bits(r.theta_tilde_av) == _bits(r.g_av / map_spec.h_star)
+               for r in traj.records)

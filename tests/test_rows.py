@@ -7,6 +7,7 @@ an EventEntry the same way. These tests pin the sequence behaviour the old
 tuples of records and entries had, and the column invariants.
 """
 
+import math
 from array import array
 from dataclasses import replace
 
@@ -139,3 +140,27 @@ def test_event_logs_of_identical_runs_compare_equal():
     for entry in log.entries:
         row = traj.records[entry.k]
         assert (entry.gradient, entry.control) == (row.gradient, row.control)
+
+
+
+def _with_cell(traj, name, k, value):
+    col = array("d", getattr(traj.columns, name))
+    col[k] = value
+    return replace(traj, columns=traj.columns._replace(**{name: col}))
+
+
+def test_columns_compare_by_their_bits():
+    # 0.0 and -0.0 are == but write different CSV cells; a NaN is not == to
+    # itself but writes the same cell every time
+    zero, negative_zero = _event_log([0], [0.0]), _event_log([0], [-0.0])
+    assert zero != negative_zero
+    assert zero.entries != negative_zero.entries
+    assert zero == _event_log([0], [0.0])
+    assert _event_log([0], [math.nan]) == _event_log([0], [math.nan])
+    assert zero != replace(zero, ks=array("l", [0]))  # same values, other typecode
+    for traj, name in ((_true_run(20), "gradient"), (_avg_run(20), "theta_tilde_av")):
+        a = _with_cell(traj, name, 7, 0.0)
+        b = _with_cell(traj, name, 7, -0.0)
+        assert a != b and a.records != b.records
+        assert a == _with_cell(traj, name, 7, 0.0)
+        assert a.records == _with_cell(traj, name, 7, 0.0).records

@@ -2,6 +2,8 @@
 
 import math
 import random
+import struct
+from dataclasses import replace
 
 import pytest
 
@@ -9,11 +11,13 @@ from etseek import (
     LoopSpec,
     MapSpec,
     TriggerSpec,
+    contraction_increment,
+    decay_rate,
     measurement_error,
     should_trigger,
     validate_assumption,
 )
-from helpers import reference_specs
+from helpers import draw_specs, reference_specs
 
 # Independently computed: sqrt(0.7) via decimal Newton iteration.
 ROOT_SIGMA_07 = 0.8366600265340756
@@ -149,3 +153,32 @@ def test_report_fields_satisfy_their_formulas():
         else:
             assert math.isnan(report.alpha_min)
             assert not report.alpha_bound_defined
+
+
+def test_diagnostics_match_the_inline_closed_forms():
+    # the expressions as they were written out before contraction_increment
+    # existed: the derived forms must give the same bits, nan included
+    def bits(x):
+        return struct.pack("<d", x)
+
+    rng = random.Random(94)
+    map_spec, loop, trig = reference_specs()
+    cases = [(map_spec, loop, trig),
+             (map_spec, replace(loop, gain_k=240.0), trig)]
+    cases += [draw_specs(rng) for _ in range(3000)]
+    for map_spec, loop, trig in cases:
+        a, h, k = loop.amplitude_a, map_spec.h_star, loop.gain_k
+        c_g = loop.epsilon * a * a * h * k / 2.0
+        rho0 = 1.0 - loop.epsilon * a * a * h * k / 2.0
+        if 1.0 - rho0 * rho0 > 0.0:
+            scale = loop.epsilon * a * a * abs(h) * abs(k) / math.sqrt(2.0)
+            alpha_min = (scale * math.sqrt(1.0 + 7.0 * rho0 * rho0)
+                         / (1.0 - rho0 * rho0))
+        else:
+            alpha_min = math.nan
+        rho = 1.0 - (1.0 - rho0 * rho0) * (1.0 - trig.sigma) / 2.0
+        report = validate_assumption(map_spec, loop, trig)
+        assert bits(contraction_increment(map_spec, loop)) == bits(c_g)
+        assert bits(report.rho0) == bits(rho0)
+        assert bits(report.alpha_min) == bits(alpha_min)
+        assert bits(decay_rate(map_spec, loop, trig)) == bits(rho)
