@@ -13,6 +13,8 @@ import configparser
 import math
 import os
 import sys
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,13 +84,13 @@ class ExperimentConfig:
 class RunResult:
     out_dir: Path
     report_path: Path
-    trajectory_path: Path | None
-    events_path: Path | None
-    avg_trajectory_path: Path | None
-    event_stats: analysis.EventStats | None
-    avg_event_stats: analysis.EventStats | None
-    decay: analysis.DecayReport | None
-    final_theta: float | None
+    trajectory_path: Path | None = None
+    events_path: Path | None = None
+    avg_trajectory_path: Path | None = None
+    event_stats: analysis.EventStats | None = None
+    avg_event_stats: analysis.EventStats | None = None
+    decay: analysis.DecayReport | None = None
+    final_theta: float | None = None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -191,9 +193,8 @@ def _write_csv(path: Path, header, rows):
     """Write a header line, then one comma-joined line per row of text cells.
 
     rows is consumed lazily, one line at a time, so no column of text is
-    ever held whole. Float cells come from _float_cells, which formats a
-    value once per run of bitwise repeats; trajectory.csv passes its rows
-    through _passing_events, which writes events.csv in the same pass. No
+    ever held whole; avg_trajectory.csv feeds it float cells from
+    _float_cells, which formats a value once per run of bitwise repeats. No
     cell this module writes contains a comma, a quote or a line break, so
     none needs quoting.
     """
@@ -202,37 +203,45 @@ def _write_csv(path: Path, header, rows):
         fh.writelines(line + "\n" for line in map(",".join, rows))
 
 
+# Rows of trajectory.csv formatted and written together. Small enough that
+# a block's text stays a few tens of kilobytes, large enough that the
+# per-block calls cost nothing next to repr.
+_BLOCK_ROWS = 256
+
+
 def _write_true_loop(trajectory_path: Path, events_path: Path,
                      traj: escore.Trajectory, log: escore.EventLog):
-    """Write trajectory.csv and events.csv in one pass over the trajectory rows.
+    """Write trajectory.csv and events.csv, one block of _BLOCK_ROWS rows at a time.
 
+    Each float column of a block is formatted with one map of repr (the
+    true loop's values almost never repeat, so _float_cells would only add
+    a comparison per cell), and the block's lines go out in one write.
     Event l happened at iteration k_l = log.ks[l] (the k = 0 seed event and
     every fired row), and the kernel held that row's gradient and control
     from then on. So its g_hat_held and u_held cells are the g_hat and u
-    text of trajectory row k_l, written to events.csv as that row passes;
-    no float is formatted twice, and no column of text is kept.
+    text of trajectory row k_l, taken from the block that holds the row; no
+    float is formatted twice. The bytes are those of a row-by-row writer.
     """
     cols = traj.columns
-    rows = zip(map(str, range(len(traj))), *map(_float_cells, cols[:-1]),
-               map(_FLAGS.__getitem__, cols.triggered))
-    with open(events_path, "w", newline="") as events_fh:
+    floats, flags = cols[:-1], cols.triggered
+    n, ks = len(traj), log.ks
+    with open(events_path, "w", newline="") as events_fh, \
+            open(trajectory_path, "w", newline="") as traj_fh:
         events_fh.write("l,k_l,g_hat_held,u_held\n")
-        _write_csv(
-            trajectory_path,
-            ("k", "theta_hat", "theta", "y", "g_hat", "e", "u", "triggered"),
-            _passing_events(rows, log.ks, events_fh.write))
-
-
-def _passing_events(rows, ks, write):
-    """Yield the trajectory rows unchanged; write the event line of each row in ks."""
-    events = enumerate(ks)
-    l, k_l = next(events)
-    for k, row in enumerate(rows):
-        if k == k_l:
-            k_text, _, _, _, g_hat, _, u, _ = row
-            write(f"{l},{k_text},{g_hat},{u}\n")
-            l, k_l = next(events, (None, None))
-        yield row
+        traj_fh.write("k,theta_hat,theta,y,g_hat,e,u,triggered\n")
+        first = 0  # index in ks of the first event at or after row i
+        for i in range(0, n, _BLOCK_ROWS):
+            j = min(i + _BLOCK_ROWS, n)
+            k_text = list(map(str, range(i, j)))
+            text = [list(map(repr, col[i:j])) for col in floats]
+            traj_fh.write("\n".join(map(",".join, zip(
+                k_text, *text, map(_FLAGS.__getitem__, flags[i:j])))) + "\n")
+            g_hat, u = text[3], text[5]
+            end = bisect_left(ks, j, first)
+            events_fh.write("".join(
+                f"{l},{k_text[k - i]},{g_hat[k - i]},{u[k - i]}\n"
+                for l, k in enumerate(ks[first:end], first)))
+            first = end
 
 
 def _stats_lines(title: str, stats: analysis.EventStats) -> list[str]:
@@ -266,13 +275,140 @@ def _is_reference_config(config: ExperimentConfig) -> bool:
     return all(values[key] == value for key, value in _REFERENCE_PARAMS.items())
 
 
+def _true_half(config: ExperimentConfig, out: Path):
+    """The true loop: kernel, trajectory.csv and events.csv, statistics, envelopes.
+
+    Returns (report lines, event statistics, final theta).
+    """
+    traj, log = escore.run(config.map_spec, config.loop_spec,
+                           config.trigger_spec, config.theta_hat0,
+                           config.n_iters)
+    _write_true_loop(out / "trajectory.csv", out / "events.csv", traj, log)
+    stats = analysis.event_statistics(log)
+    lines = _stats_lines("true loop", stats)
+    if _is_reference_config(config):
+        lines.append(f"reference_count = {_REFERENCE_EVENT_COUNT}")
+        lines.append(
+            f"reference_mean_gap_seconds = {_REFERENCE_MEAN_GAP_SECONDS!r}")
+    lines += _envelope_lines(
+        f"true loop (offset_constant = {config.offset_constant!r})",
+        analysis.convergence_envelopes(traj, config.map_spec, config.loop_spec,
+                                       config.trigger_spec,
+                                       config.offset_constant))
+    return lines, stats, traj.columns.theta[-1]
+
+
+def _average_half(config: ExperimentConfig, out: Path):
+    """The averaged loop: kernel, avg_trajectory.csv, statistics, decay, envelopes.
+
+    Returns (report lines, event statistics, decay report).
+    """
+    avg_traj = average.avg_run(
+        config.map_spec, config.loop_spec, config.trigger_spec,
+        config.theta_hat0 - config.map_spec.theta_star, config.n_iters)
+    avg_cols = avg_traj.columns
+    _write_csv(
+        out / "avg_trajectory.csv",
+        ("k", "g_av", "theta_tilde_av", "e_av", "triggered"),
+        zip(map(str, range(len(avg_traj))),
+            *map(_float_cells, (avg_cols.g_av, avg_cols.theta_tilde_av,
+                                avg_cols.error)),
+            map(_FLAGS.__getitem__, avg_cols.triggered)))
+    stats = analysis.event_statistics(avg_traj.events)
+    decay = analysis.check_decay(
+        analysis.lyapunov_sequence(avg_traj), config.map_spec,
+        config.loop_spec, config.trigger_spec)
+    lines = _stats_lines("average loop", stats) + [
+        "# decay: average loop",
+        f"rho = {decay.rho!r}",
+        f"checked = {decay.checked}",
+        f"passed = {'true' if decay.passed else 'false'}",
+    ]
+    if not decay.passed:
+        lines.append(f"first_violation_k = {decay.first_violation_k}")
+        lines.append(f"max_excess = {decay.max_excess!r}")
+    lines += _envelope_lines(
+        "average loop",
+        analysis.convergence_envelopes(avg_traj, config.map_spec,
+                                       config.loop_spec, config.trigger_spec))
+    return lines, stats, decay
+
+
+def _fork_call(fn, *args):
+    """Start fn(*args) in a forked child; return wait(cancel=False) for its result.
+
+    wait() returns what fn returned, or raises what it raised, once the
+    child has ended and been reaped. wait(cancel=True) kills and reaps the
+    child instead, for a caller that is failing itself. The child sends its
+    outcome back pickled through a pipe and leaves with os._exit, so it
+    runs no exit handlers and flushes no buffer it inherited. Where os.fork
+    is missing, or other threads run (a forked copy of a threaded process
+    can deadlock), nothing is started: wait() calls fn(*args) in-process.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return lambda cancel=False: None if cancel else fn(*args)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn(*args))
+            except BaseException as exc:
+                outcome = (False, exc)
+            import pickle
+            try:
+                data = pickle.dumps(outcome)
+                pickle.loads(data)  # an exception type may not rebuild
+            except Exception as exc:
+                data = pickle.dumps((False, RuntimeError(
+                    f"cannot send the outcome {outcome[1]!r} back: {exc}")))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    reader = os.fdopen(read_fd, "rb")
+
+    def wait(cancel=False):
+        try:
+            with reader:
+                if cancel:
+                    import signal
+                    os.kill(pid, signal.SIGKILL)
+                data = b"" if cancel else reader.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if cancel:
+            return None
+        if not data:
+            raise RuntimeError(
+                f"child process {pid} running {fn.__name__} ended without "
+                f"a result (exit status {status})")
+        import pickle
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    return wait
+
+
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run the configured experiment and write its output files.
 
     true-loop mode writes trajectory.csv and events.csv; average mode writes
     avg_trajectory.csv; both writes all three. report.txt always carries the
     assumption check plus the per-loop statistics and envelope/decay checks.
-    OSError from an unusable output directory propagates to the caller.
+
+    The two loops are independent, so in both mode the averaged half runs
+    in a forked child process while this process runs the true half, where
+    os.fork exists and no other thread runs; otherwise the halves run one
+    after the other here. Either way the files are byte for byte the same,
+    and an error from either half (OSError from an unusable output
+    directory, say) propagates to the caller once the child is reaped.
     """
     out = Path(config.out_dir)
     os.makedirs(out, exist_ok=True)
@@ -280,71 +416,34 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     report_lines += validate_assumption(
         config.map_spec, config.loop_spec, config.trigger_spec).lines()
 
-    trajectory_path = events_path = avg_path = final_theta = None
-    event_stats = avg_event_stats = decay = None
+    true_half = average_half = None
+    if config.mode == "true-loop":
+        true_half = _true_half(config, out)
+    elif config.mode == "average":
+        average_half = _average_half(config, out)
+    else:
+        wait = _fork_call(_average_half, config, out)
+        try:
+            true_half = _true_half(config, out)
+        except BaseException:
+            wait(cancel=True)
+            raise
+        average_half = wait()
 
-    if config.mode in ("true-loop", "both"):
-        traj, log = escore.run(config.map_spec, config.loop_spec,
-                               config.trigger_spec, config.theta_hat0,
-                               config.n_iters)
-        final_theta = traj.columns.theta[-1]
-        trajectory_path = out / "trajectory.csv"
-        events_path = out / "events.csv"
-        _write_true_loop(trajectory_path, events_path, traj, log)
-        event_stats = analysis.event_statistics(log)
-        report_lines += _stats_lines("true loop", event_stats)
-        if _is_reference_config(config):
-            report_lines.append(f"reference_count = {_REFERENCE_EVENT_COUNT}")
-            report_lines.append(
-                f"reference_mean_gap_seconds = {_REFERENCE_MEAN_GAP_SECONDS!r}")
-        report_lines += _envelope_lines(
-            f"true loop (offset_constant = {config.offset_constant!r})",
-            analysis.convergence_envelopes(traj, config.map_spec,
-                                           config.loop_spec,
-                                           config.trigger_spec,
-                                           config.offset_constant))
-
-    if config.mode in ("average", "both"):
-        avg_traj = average.avg_run(
-            config.map_spec, config.loop_spec, config.trigger_spec,
-            config.theta_hat0 - config.map_spec.theta_star, config.n_iters)
-        avg_path = out / "avg_trajectory.csv"
-        avg_cols = avg_traj.columns
-        _write_csv(
-            avg_path,
-            ("k", "g_av", "theta_tilde_av", "e_av", "triggered"),
-            zip(map(str, range(len(avg_traj))),
-                *map(_float_cells, (avg_cols.g_av, avg_cols.theta_tilde_av,
-                                    avg_cols.error)),
-                map(_FLAGS.__getitem__, avg_cols.triggered)))
-        avg_event_stats = analysis.event_statistics(avg_traj.events)
-        report_lines += _stats_lines("average loop", avg_event_stats)
-        decay = analysis.check_decay(
-            analysis.lyapunov_sequence(avg_traj), config.map_spec,
-            config.loop_spec, config.trigger_spec)
-        report_lines += [
-            "# decay: average loop",
-            f"rho = {decay.rho!r}",
-            f"checked = {decay.checked}",
-            f"passed = {'true' if decay.passed else 'false'}",
-        ]
-        if not decay.passed:
-            report_lines.append(
-                f"first_violation_k = {decay.first_violation_k}")
-            report_lines.append(f"max_excess = {decay.max_excess!r}")
-        report_lines += _envelope_lines(
-            "average loop",
-            analysis.convergence_envelopes(avg_traj, config.map_spec,
-                                           config.loop_spec,
-                                           config.trigger_spec))
+    result = {}
+    if true_half is not None:
+        lines, result["event_stats"], result["final_theta"] = true_half
+        report_lines += lines
+        result["trajectory_path"] = out / "trajectory.csv"
+        result["events_path"] = out / "events.csv"
+    if average_half is not None:
+        lines, result["avg_event_stats"], result["decay"] = average_half
+        report_lines += lines
+        result["avg_trajectory_path"] = out / "avg_trajectory.csv"
 
     report_path = out / "report.txt"
     report_path.write_text("\n".join(report_lines) + "\n")
-    return RunResult(out_dir=out, report_path=report_path,
-                     trajectory_path=trajectory_path, events_path=events_path,
-                     avg_trajectory_path=avg_path, event_stats=event_stats,
-                     avg_event_stats=avg_event_stats, decay=decay,
-                     final_theta=final_theta)
+    return RunResult(out_dir=out, report_path=report_path, **result)
 
 
 def sweep(config: ExperimentConfig, param: str, values) -> Path:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
 from array import array
@@ -12,10 +13,7 @@ import pytest
 from etseek import (
     AvgRecord,
     EventEntry,
-    LoopSpec,
-    MapSpec,
     StepRecord,
-    TriggerSpec,
     avg_run,
     check_decay,
     escore,
@@ -23,8 +21,10 @@ from etseek import (
     lyapunov_sequence,
     validate_assumption,
 )
-from etseek.cli import (ConfigError, _float_cells, main, parse_config,
-                        run_experiment, sweep)
+from etseek import cli
+from etseek.cli import (_BLOCK_ROWS, _REFERENCE_PARAMS, ConfigError,
+                        _float_cells, main, parse_config, run_experiment,
+                        sweep)
 from helpers import (
     REFERENCE_CFG,
     REFERENCE_N_ITERS,
@@ -59,16 +59,12 @@ def _edit(text, old, new):
 
 
 def test_bundled_reference_config_parses_to_reference_set():
-    config = parse_config(REFERENCE_CFG.read_text())
-    assert config.map_spec == MapSpec(q_star=2.0, h_star=-0.7, theta_star=3.0)
-    assert config.loop_spec == LoopSpec(amplitude_a=0.1, omega=7.0,
-                                        epsilon=0.18, gain_k=-240.0)
-    assert config.trigger_spec == TriggerSpec(sigma=0.7, alpha=0.74)
-    assert config.theta_hat0 == 0.5
-    assert config.n_iters == 1000
-    assert config.mode == "both"
-    assert config.offset_constant == 0.3
-    assert config.out_dir == "out"
+    # the reference set is written down once, in cli._REFERENCE_PARAMS; the
+    # bundled config states exactly it, plus the optional run keys
+    flat = parse_config(REFERENCE_CFG.read_text()).flat()
+    assert {key: flat.pop(key) for key in _REFERENCE_PARAMS} == _REFERENCE_PARAMS
+    assert flat == {"run.mode": "both", "run.offset_constant": 0.3,
+                    "run.out_dir": "out"}
 
 
 def test_minimal_config_gets_defaults():
@@ -336,6 +332,22 @@ def test_module_entry_point():
     assert "rho0 = 0.8488" in out.stdout
 
 
+def test_module_run_under_warnings_as_errors(tmp_path):
+    # the forked averaged half and its pipe must leave no ResourceWarning or
+    # DeprecationWarning behind; under -W error one would fail the run or
+    # print "Exception ignored" to stderr
+    out_dir = tmp_path / "out"
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "etseek.cli", "run",
+         "--config", str(REFERENCE_CFG), "--out", str(out_dir)],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    for name in ("trajectory.csv", "events.csv", "avg_trajectory.csv",
+                 "report.txt"):
+        assert (out_dir / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
 # The CSV writer as it was when trajectories were rows: csv.writer fed one
 # formatted cell at a time. It stays here only as the oracle that the
 # column-wise writer must match byte for byte.
@@ -356,6 +368,19 @@ def _oracle_csv(header, rows):
     for row in rows:
         writer.writerow([_oracle_cell(cell) for cell in row])
     return buf.getvalue().encode()
+
+
+def _true_loop_oracle(traj, log):
+    """Expected trajectory.csv and events.csv bytes of one true-loop run."""
+    return {
+        "trajectory.csv": _oracle_csv(
+            ("k", "theta_hat", "theta", "y", "g_hat", "e", "u", "triggered"),
+            ((r.k, r.theta_hat, r.theta, r.y, r.gradient, r.error,
+              r.control, r.triggered) for r in traj.records)),
+        "events.csv": _oracle_csv(
+            ("l", "k_l", "g_hat_held", "u_held"),
+            ((e.index, e.k, e.gradient, e.control) for e in log.entries)),
+    }
 
 
 def _specs(config):
@@ -384,14 +409,7 @@ def test_csv_files_match_the_csv_writer_oracle(tmp_path):
         avg = avg_run(*_specs(config),
                       config.theta_hat0 - config.map_spec.theta_star,
                       config.n_iters)
-        expected = {
-            "trajectory.csv": _oracle_csv(
-                ("k", "theta_hat", "theta", "y", "g_hat", "e", "u", "triggered"),
-                ((r.k, r.theta_hat, r.theta, r.y, r.gradient, r.error,
-                  r.control, r.triggered) for r in traj.records)),
-            "events.csv": _oracle_csv(
-                ("l", "k_l", "g_hat_held", "u_held"),
-                ((e.index, e.k, e.gradient, e.control) for e in log.entries)),
+        expected = _true_loop_oracle(traj, log) | {
             "avg_trajectory.csv": _oracle_csv(
                 ("k", "g_av", "theta_tilde_av", "e_av", "triggered"),
                 ((r.k, r.g_av, r.theta_tilde_av, r.error, r.triggered)
@@ -437,7 +455,9 @@ def test_summary_csv_matches_the_csv_writer_oracle(tmp_path):
 
 def test_run_experiment_builds_no_record_objects(tmp_path, monkeypatch):
     # the pipeline reads columns end to end; a StepRecord or AvgRecord per
-    # step is what the columnar trajectories removed from the hot path
+    # step is what the columnar trajectories removed from the hot path.
+    # Without os.fork both halves run here, where the count can see them.
+    monkeypatch.delattr(os, "fork")
     built = []
     for record_type in (StepRecord, AvgRecord):
         def counted(self, *args, _init=record_type.__init__, **kwargs):
@@ -482,3 +502,144 @@ def test_float_cells_reuse_text_only_for_repeated_bits():
                    [-0.0], []):
         column = array("d", values)
         assert list(_float_cells(column)) == [repr(v) for v in values]
+
+
+def _counting_fork(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_and_in_process_runs_are_byte_identical(tmp_path, monkeypatch):
+    names = ("trajectory.csv", "events.csv", "avg_trajectory.csv", "report.txt")
+    diverging = _edit(REFERENCE_CFG.read_text(), "alpha = 0.74", "alpha = 2.0")
+    for name, text in (("fires", _many_fires_config_text()),
+                       ("diverging", diverging)):
+        with monkeypatch.context() as patch:
+            forks = _counting_fork(patch)
+            forked = _run_into(tmp_path, name + "-forked", text)
+            assert forks == [os.getpid()]
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            serial = _run_into(tmp_path, name + "-serial", text)
+        for file_name in names:
+            assert ((forked.out_dir / file_name).read_bytes()
+                    == (serial.out_dir / file_name).read_bytes()), (name, file_name)
+        assert forked.decay == serial.decay
+        assert forked.event_stats == serial.event_stats
+        assert forked.avg_event_stats == serial.avg_event_stats
+        assert forked.final_theta == serial.final_theta
+    _assert_no_child_left()
+
+
+def test_running_threads_keep_both_halves_in_process(tmp_path, monkeypatch):
+    import threading
+    forks = _counting_fork(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        result = _run_into(tmp_path, "threaded", REFERENCE_CFG.read_text())
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert result.decay.passed
+    assert ((result.out_dir / "avg_trajectory.csv").read_bytes()
+            == (GOLDEN_DIR / "avg_trajectory.csv").read_bytes())
+
+
+def test_main_error_in_the_forked_half_exits_two(tmp_path, capsys, monkeypatch):
+    forks = _counting_fork(monkeypatch)
+    out_dir = tmp_path / "out"
+    (out_dir / "avg_trajectory.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(REFERENCE_CFG),
+                 "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "avg_trajectory.csv" in err
+    assert len(forks) == 1
+    _assert_no_child_left()
+    # the true half still ran to the end in this process
+    assert ((out_dir / "trajectory.csv").read_bytes()
+            == (GOLDEN_DIR / "trajectory.csv").read_bytes())
+
+
+def test_child_ending_without_a_result_names_its_status(tmp_path, monkeypatch):
+    test_pid = os.getpid()
+
+    def vanish(config, out):
+        assert os.getpid() != test_pid, "the averaged half ran in-process"
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "_average_half", vanish)
+    with pytest.raises(RuntimeError, match=r"vanish ended without a result "
+                                           r"\(exit status 3\)"):
+        _run_into(tmp_path, "vanish", REFERENCE_CFG.read_text())
+    _assert_no_child_left()
+
+
+class _Unrebuildable(Exception):
+    # pickles, but unpickling calls __init__ with the one message argument
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_child_error_that_cannot_be_sent_back_is_named(tmp_path, monkeypatch):
+    def fail(config, out):
+        raise _Unrebuildable(1, 2)
+
+    monkeypatch.setattr(cli, "_average_half", fail)
+    with pytest.raises(RuntimeError, match=r"cannot send the outcome "
+                                           r"_Unrebuildable\('1 and 2'\) back"):
+        _run_into(tmp_path, "unrebuildable", REFERENCE_CFG.read_text())
+    _assert_no_child_left()
+
+
+def test_failing_true_half_kills_and_reaps_the_child(tmp_path, monkeypatch):
+    # the child would take a minute; the failing parent must not wait for it
+    import time
+    forks = _counting_fork(monkeypatch)
+
+    def fail(config, out):
+        raise ZeroDivisionError("true half failed")
+
+    monkeypatch.setattr(cli, "_true_half", fail)
+    monkeypatch.setattr(cli, "_average_half", lambda config, out: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(ZeroDivisionError, match="true half failed"):
+        _run_into(tmp_path, "fail", REFERENCE_CFG.read_text())
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_true_loop_blocks_match_the_csv_writer_oracle(tmp_path):
+    # horizons around the block size, on a config that fires on most rows,
+    # so events fall on the first and the last row of a block
+    from dataclasses import replace
+    config = parse_config(_many_fires_config_text())
+    edge_events = set()
+    for n_iters in (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                    2 * _BLOCK_ROWS + 1):
+        entry = replace(config, n_iters=n_iters, mode="true-loop",
+                        out_dir=str(tmp_path / str(n_iters)))
+        result = run_experiment(entry)
+        traj, log = escore.run(*_specs(entry), entry.theta_hat0, n_iters)
+        for file_name, data in _true_loop_oracle(traj, log).items():
+            assert (result.out_dir / file_name).read_bytes() == data, \
+                (n_iters, file_name)
+        edge_events.update(k % _BLOCK_ROWS for k in log.ks[1:]
+                           if k % _BLOCK_ROWS in (0, _BLOCK_ROWS - 1))
+    assert edge_events == {0, _BLOCK_ROWS - 1}
