@@ -3,7 +3,8 @@
 Configs are flat INI files with # comments and four sections: [map], [loop],
 [trigger], [run]. Every run writes CSVs plus a plain-text report into its own
 output directory; outputs are byte-deterministic for identical configs so
-directories can be diffed or frozen as goldens.
+directories can be diffed or frozen as goldens. Data files are written in
+blocks of 256 rows; a column's block repeating one value is formatted once.
 """
 
 from __future__ import annotations
@@ -170,74 +171,65 @@ def _build_config(values) -> ExperimentConfig:
 
 
 # CSV cell text: floats as repr (shortest round trip, also nan, inf and -0.0),
-# integers as str, fired flags and verdicts as 0/1.
+# integers as str, fired flags and verdicts as 0/1. No cell this module writes
+# contains a comma, a quote or a line break, so none needs quoting.
 _FLAGS = ("0", "1")
 
-
-def _float_cells(col):
-    """repr of each value of an array('d'), formatting each run of repeats once.
-
-    A cell reuses the previous cell's text while the value's bits repeat.
-    The test is on the bits, not ==, because -0.0 == 0.0 but their text
-    differs; a repeated nan has one text, so it is reused as well.
-    """
-    prev = text = None
-    for value, bits in zip(col, memoryview(col).cast("B").cast("Q")):
-        if bits != prev:
-            prev = bits
-            text = repr(value)
-        yield text
-
-
-def _write_csv(path: Path, header, rows):
-    """Write a header line, then one comma-joined line per row of text cells.
-
-    rows is consumed lazily, one line at a time, so no column of text is
-    ever held whole; avg_trajectory.csv feeds it float cells from
-    _float_cells, which formats a value once per run of bitwise repeats. No
-    cell this module writes contains a comma, a quote or a line break, so
-    none needs quoting.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line + "\n" for line in map(",".join, rows))
-
-
-# Rows of trajectory.csv formatted and written together. Small enough that
-# a block's text stays a few tens of kilobytes, large enough that the
-# per-block calls cost nothing next to repr.
+# Rows of a data file formatted and written together. Small enough that a
+# block's text stays a few tens of kilobytes, large enough that the per-block
+# calls cost nothing next to repr.
 _BLOCK_ROWS = 256
+
+# Positions of the g_hat and u columns among the true loop's float columns.
+_G_HAT, _U = map(escore.StepColumns._fields.index, ("gradient", "control"))
+
+
+def _float_text(block):
+    """repr of each value of a non-empty array('d') block.
+
+    A block that repeats its first value's bits, as the averaged loop's
+    columns do once it settles, is formatted once. Bits, not ==: -0.0 == 0.0
+    but their text differs, and a repeated nan has one text.
+    """
+    if block[:1].tobytes() * len(block) == block.tobytes():
+        return [repr(block[0])] * len(block)
+    return list(map(repr, block))
+
+
+def _csv_blocks(floats, flags):
+    """Rows k,floats...,flag of a data file, _BLOCK_ROWS rows at a time.
+
+    Yields (first row, k text, each float column's text, the rows' lines).
+    """
+    n = len(flags)
+    for i in range(0, n, _BLOCK_ROWS):
+        j = min(i + _BLOCK_ROWS, n)
+        k_text = list(map(str, range(i, j)))
+        text = [_float_text(col[i:j]) for col in floats]
+        yield i, k_text, text, "\n".join(map(",".join, zip(
+            k_text, *text, map(_FLAGS.__getitem__, flags[i:j])))) + "\n"
 
 
 def _write_true_loop(trajectory_path: Path, events_path: Path,
                      traj: escore.Trajectory, log: escore.EventLog):
     """Write trajectory.csv and events.csv, one block of _BLOCK_ROWS rows at a time.
 
-    Each float column of a block is formatted with one map of repr (the
-    true loop's values almost never repeat, so _float_cells would only add
-    a comparison per cell), and the block's lines go out in one write.
     Event l happened at iteration k_l = log.ks[l] (the k = 0 seed event and
     every fired row), and the kernel held that row's gradient and control
     from then on. So its g_hat_held and u_held cells are the g_hat and u
     text of trajectory row k_l, taken from the block that holds the row; no
-    float is formatted twice. The bytes are those of a row-by-row writer.
+    float is formatted twice.
     """
-    cols = traj.columns
-    floats, flags = cols[:-1], cols.triggered
-    n, ks = len(traj), log.ks
+    cols, ks = traj.columns, log.ks
     with open(events_path, "w", newline="") as events_fh, \
             open(trajectory_path, "w", newline="") as traj_fh:
         events_fh.write("l,k_l,g_hat_held,u_held\n")
         traj_fh.write("k,theta_hat,theta,y,g_hat,e,u,triggered\n")
         first = 0  # index in ks of the first event at or after row i
-        for i in range(0, n, _BLOCK_ROWS):
-            j = min(i + _BLOCK_ROWS, n)
-            k_text = list(map(str, range(i, j)))
-            text = [list(map(repr, col[i:j])) for col in floats]
-            traj_fh.write("\n".join(map(",".join, zip(
-                k_text, *text, map(_FLAGS.__getitem__, flags[i:j])))) + "\n")
-            g_hat, u = text[3], text[5]
-            end = bisect_left(ks, j, first)
+        for i, k_text, text, lines in _csv_blocks(cols[:-1], cols.triggered):
+            traj_fh.write(lines)
+            g_hat, u = text[_G_HAT], text[_U]
+            end = bisect_left(ks, i + len(k_text), first)
             events_fh.write("".join(
                 f"{l},{k_text[k - i]},{g_hat[k - i]},{u[k - i]}\n"
                 for l, k in enumerate(ks[first:end], first)))
@@ -306,14 +298,11 @@ def _average_half(config: ExperimentConfig, out: Path):
     avg_traj = average.avg_run(
         config.map_spec, config.loop_spec, config.trigger_spec,
         config.theta_hat0 - config.map_spec.theta_star, config.n_iters)
-    avg_cols = avg_traj.columns
-    _write_csv(
-        out / "avg_trajectory.csv",
-        ("k", "g_av", "theta_tilde_av", "e_av", "triggered"),
-        zip(map(str, range(len(avg_traj))),
-            *map(_float_cells, (avg_cols.g_av, avg_cols.theta_tilde_av,
-                                avg_cols.error)),
-            map(_FLAGS.__getitem__, avg_cols.triggered)))
+    cols = avg_traj.columns
+    with open(out / "avg_trajectory.csv", "w", newline="") as fh:
+        fh.write("k,g_av,theta_tilde_av,e_av,triggered\n")
+        fh.writelines(block[-1] for block in _csv_blocks(
+            (cols.g_av, cols.theta_tilde_av, cols.error), cols.triggered))
     stats = analysis.event_statistics(avg_traj.events)
     decay = analysis.check_decay(
         analysis.lyapunov_sequence(avg_traj), config.map_spec,
@@ -452,27 +441,31 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
     Each entry runs both loops in its own subdirectory of the configured
     output directory; summary.csv collects the true-loop event economy, the
     final input error, the average-loop decay verdict, and the entry's rho0.
-    All values are validated before anything runs.
+    Each value, stripped of whitespace, names its entry directory. All are
+    validated, and a directory named twice rejected, before anything runs.
     """
     if param not in SWEEPABLE:
         raise ConfigError(
             f"cannot sweep {param!r}; sweepable keys: " + ", ".join(SWEEPABLE))
-    tokens = list(values)
+    tokens = [str(value).strip() for value in values]
     if not tokens:
         raise ConfigError("sweep requires at least one value")
 
     base = config.flat() | {"run.mode": "both"}
-    entries = []
+    entries = {}
     for token in tokens:
-        out_dir = str(Path(config.out_dir) / str(token))
+        out_dir = Path(config.out_dir) / token
+        if out_dir in entries:
+            raise ConfigError(
+                f"{param} = {token}: entry directory {out_dir} is named twice")
         try:
-            entries.append(_build_config(
-                base | {param: token, "run.out_dir": out_dir}))
+            entries[out_dir] = _build_config(
+                base | {param: token, "run.out_dir": str(out_dir)})
         except ConfigError as exc:
             raise ConfigError(f"{param} = {token}: {exc}") from exc
 
     rows = []
-    for entry in entries:
+    for entry in entries.values():
         result = run_experiment(entry)
         final_error = abs(result.final_theta - entry.map_spec.theta_star)
         stats = result.event_stats
@@ -485,11 +478,9 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
                      repr(rho0)))
 
     summary = Path(config.out_dir) / "summary.csv"
-    _write_csv(
-        summary,
-        ("value", "event_count", "mean_gap_seconds", "final_theta_error",
-         "decay_pass", "rho0"),
-        rows)
+    summary.write_text(
+        "value,event_count,mean_gap_seconds,final_theta_error,decay_pass,rho0\n"
+        + "".join(",".join(row) + "\n" for row in rows), newline="")
     return summary
 
 
@@ -543,7 +534,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             config = _build_config(config.flat() | {"run.out_dir": args.out})
             summary = sweep(config, args.param,
-                            [v for v in args.values.split(",") if v != ""])
+                            [v for v in args.values.split(",") if v.strip()])
             print(f"wrote {summary}")
         else:
             report = validate_assumption(config.map_spec, config.loop_spec,

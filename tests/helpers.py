@@ -1,7 +1,7 @@
 """Shared test fixtures: the reference parameter set and randomized draws.
 
-The reference set is read from configs/reference.cfg, the one place it is
-written down.
+The reference set is read from configs/reference.cfg, which a test checks
+against cli._REFERENCE_PARAMS, the one place it is written down.
 
 The randomized draws keep the averaged contraction increment c = eps*a^2*H*K/2
 in a tame band by solving for the gain, so most trajectories stay finite; the

@@ -23,7 +23,7 @@ from etseek import (
 )
 from etseek import cli
 from etseek.cli import (_BLOCK_ROWS, _REFERENCE_PARAMS, ConfigError,
-                        _float_cells, main, parse_config, run_experiment,
+                        _float_text, main, parse_config, run_experiment,
                         sweep)
 from helpers import (
     REFERENCE_CFG,
@@ -220,7 +220,9 @@ def test_sweep_validates_all_values_before_running(tmp_path):
             ("trigger.sigma", ["0.5", "1.5"], r"trigger.sigma = 1.5"),
             ("run.n_iters", ["0"], r"run.n_iters must be >= 1"),
             ("run.offset_constant", ["-1"],
-             r"run.offset_constant must be finite and >= 0")]:
+             r"run.offset_constant must be finite and >= 0"),
+            ("trigger.alpha", ["0.74", "0.9", " 0.74"],
+             r"trigger.alpha = 0.74: entry directory .*0.74 is named twice")]:
         with pytest.raises(ConfigError, match=message):
             sweep(config, param, values)
         assert not (tmp_path / "sw").exists()
@@ -323,6 +325,17 @@ def test_main_sweep_end_to_end(tmp_path, capsys):
         assert len(list(csv.reader(fh))) == 4
 
 
+def test_main_sweep_strips_whitespace_around_values(tmp_path):
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", "--config", str(REFERENCE_CFG),
+                 "--param", "trigger.alpha", "--values", "0.74, 0.9 , ",
+                 "--out", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "0.74", "0.9", "summary.csv"]
+    with open(out_dir / "summary.csv", newline="") as fh:
+        assert [row["value"] for row in csv.DictReader(fh)] == ["0.74", "0.9"]
+
+
 def test_module_entry_point():
     out = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "etseek.cli",
@@ -383,6 +396,14 @@ def _true_loop_oracle(traj, log):
     }
 
 
+def _avg_oracle(avg):
+    """Expected avg_trajectory.csv bytes of one averaged run."""
+    return _oracle_csv(
+        ("k", "g_av", "theta_tilde_av", "e_av", "triggered"),
+        ((r.k, r.g_av, r.theta_tilde_av, r.error, r.triggered)
+         for r in avg.records))
+
+
 def _specs(config):
     return config.map_spec, config.loop_spec, config.trigger_spec
 
@@ -410,11 +431,7 @@ def test_csv_files_match_the_csv_writer_oracle(tmp_path):
                       config.theta_hat0 - config.map_spec.theta_star,
                       config.n_iters)
         expected = _true_loop_oracle(traj, log) | {
-            "avg_trajectory.csv": _oracle_csv(
-                ("k", "g_av", "theta_tilde_av", "e_av", "triggered"),
-                ((r.k, r.g_av, r.theta_tilde_av, r.error, r.triggered)
-                 for r in avg.records)),
-        }
+            "avg_trajectory.csv": _avg_oracle(avg)}
         for file_name, data in expected.items():
             assert (result.out_dir / file_name).read_bytes() == data, \
                 (name, file_name)
@@ -495,13 +512,17 @@ def test_run_experiment_builds_no_event_entries(tmp_path, monkeypatch):
     assert built == [1]
 
 
-def test_float_cells_reuse_text_only_for_repeated_bits():
-    # -0.0 == 0.0 and nan != nan: only a bitwise repeat may reuse the text
+def test_float_text_formats_a_block_once_only_for_repeated_bits():
+    # -0.0 == 0.0 and nan != nan: only a bitwise repeat may share one text
     nan, inf = float("nan"), float("inf")
-    for values in ([0.0, -0.0, -0.0, 0.0, nan, nan, inf, inf, -inf, 5e-324, 5e-324],
-                   [-0.0], []):
-        column = array("d", values)
-        assert list(_float_cells(column)) == [repr(v) for v in values]
+    mixed = [0.0, -0.0, -0.0, 0.0, nan, nan, inf, inf, -inf, 5e-324, 5e-324]
+    for values, uniform in ((mixed, False), ([-0.0] * 5, True),
+                            ([nan] * 3, True), ([inf] * 4, True),
+                            ([0.0, -0.0, 0.0], False), ([-inf, inf], False),
+                            ([5e-324], True)):
+        cells = _float_text(array("d", values))
+        assert cells == [repr(v) for v in values]
+        assert all(cell is cells[0] for cell in cells) == uniform, values
 
 
 def _counting_fork(monkeypatch):
@@ -633,13 +654,33 @@ def test_true_loop_blocks_match_the_csv_writer_oracle(tmp_path):
     edge_events = set()
     for n_iters in (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                     2 * _BLOCK_ROWS + 1):
-        entry = replace(config, n_iters=n_iters, mode="true-loop",
+        entry = replace(config, n_iters=n_iters, mode="both",
                         out_dir=str(tmp_path / str(n_iters)))
         result = run_experiment(entry)
         traj, log = escore.run(*_specs(entry), entry.theta_hat0, n_iters)
-        for file_name, data in _true_loop_oracle(traj, log).items():
+        avg = avg_run(*_specs(entry),
+                      entry.theta_hat0 - entry.map_spec.theta_star, n_iters)
+        expected = _true_loop_oracle(traj, log) | {
+            "avg_trajectory.csv": _avg_oracle(avg)}
+        for file_name, data in expected.items():
             assert (result.out_dir / file_name).read_bytes() == data, \
                 (n_iters, file_name)
         edge_events.update(k % _BLOCK_ROWS for k in log.ks[1:]
                            if k % _BLOCK_ROWS in (0, _BLOCK_ROWS - 1))
     assert edge_events == {0, _BLOCK_ROWS - 1}
+
+    # the reference averaged loop settles from row 3205 on (g_av on one
+    # subnormal, e_av on 0.0 a row later): block 12 is mixed and blocks 13
+    # to 15 repeat one value in every column, so they are formatted once
+    entry = replace(parse_config(REFERENCE_CFG.read_text()), n_iters=4000,
+                    mode="average", out_dir=str(tmp_path / "settled"))
+    result = run_experiment(entry)
+    avg = avg_run(*_specs(entry),
+                  entry.theta_hat0 - entry.map_spec.theta_star, 4000)
+    assert result.avg_trajectory_path.read_bytes() == _avg_oracle(avg)
+    cols = avg.columns
+    assert 0 < abs(cols.g_av[-1]) < sys.float_info.min
+    for col in (cols.g_av, cols.theta_tilde_av, cols.error):
+        blocks = [col[i:i + _BLOCK_ROWS] for i in range(0, 4000, _BLOCK_ROWS)]
+        assert [len(set(map(repr, block))) == 1
+                for block in blocks[12:]] == [False, True, True, True]
