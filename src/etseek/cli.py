@@ -5,6 +5,7 @@ Configs are flat INI files with # comments and four sections: [map], [loop],
 output directory; outputs are byte-deterministic for identical configs so
 directories can be diffed or frozen as goldens. Data files are written in
 blocks of 256 rows; a column's block repeating one value is formatted once.
+The report is rendered by one function from the run's RunResult.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import os
 import sys
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from etseek import analysis, average, escore
 from etseek.escore import LoopSpec, MapSpec
-from etseek.trigger import TriggerSpec, validate_assumption
+from etseek.trigger import AssumptionReport, TriggerSpec, validate_assumption
 
 MODES = ("true-loop", "average", "both")
 
@@ -49,9 +50,8 @@ _TEXT_KEYS = ("run.mode", "run.out_dir")
 
 SWEEPABLE = tuple(key for key in _FIELDS if key not in _TEXT_KEYS)
 
-# Reference study values the golden report compares against.
-_REFERENCE_EVENT_COUNT = 19
-_REFERENCE_MEAN_GAP_SECONDS = 9.47
+# Reference study values the golden report compares against, as report items.
+_REFERENCE_EVENTS = (("reference_count", 19), ("reference_mean_gap_seconds", 9.47))
 _REFERENCE_PARAMS = {
     "map.q_star": 2.0, "map.h_star": -0.7, "map.theta_star": 3.0,
     "loop.a": 0.1, "loop.omega": 7.0, "loop.epsilon": 0.18, "loop.k": -240.0,
@@ -83,14 +83,20 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """What a run wrote and found; report.txt is rendered from it. The
+    fields of a loop that the run's mode does not run are None."""
+
     out_dir: Path
     report_path: Path
+    assumption: AssumptionReport
     trajectory_path: Path | None = None
     events_path: Path | None = None
     avg_trajectory_path: Path | None = None
     event_stats: analysis.EventStats | None = None
     avg_event_stats: analysis.EventStats | None = None
     decay: analysis.DecayReport | None = None
+    envelopes: analysis.EnvelopeReport | None = None
+    avg_envelopes: analysis.EnvelopeReport | None = None
     final_theta: float | None = None
 
 
@@ -236,65 +242,91 @@ def _write_true_loop(trajectory_path: Path, events_path: Path,
             first = end
 
 
-def _stats_lines(title: str, stats: analysis.EventStats) -> list[str]:
-    def cell(v):
-        return "n/a" if v is None else str(v)
-
-    return [
-        f"# events: {title}",
-        f"count = {stats.count}",
-        f"mean_gap_iters = {cell(stats.mean_gap_iters)}",
-        f"mean_gap_seconds = {cell(stats.mean_gap_seconds)}",
-        f"min_gap_iters = {cell(stats.min_gap_iters)}",
-        f"max_gap_iters = {cell(stats.max_gap_iters)}",
-    ]
+_WORDS = {None: "n/a", False: "false", True: "true"}
 
 
-def _envelope_lines(title: str, report: analysis.EnvelopeReport) -> list[str]:
-    lines = [f"# envelopes: {title}", f"rho = {report.rho!r}"]
-    for check in report.checks:
-        if check.passed:
-            lines.append(f"{check.name}: pass")
-        else:
-            lines.append(
-                f"{check.name}: FAIL first_violation_k={check.first_violation_k} "
-                f"max_excess={check.max_excess!r}")
+def _render(sections) -> list[str]:
+    """Every line of report.txt and of `etseek check`, from (title, items) sections.
+
+    A section opens with "# title". A text item reads "key: text"; any other
+    item reads "key = value", with None as n/a, bools as false/true and
+    everything else as repr (which for an int is its str).
+    """
+    lines = []
+    for title, items in sections:
+        lines.append(f"# {title}")
+        for key, value in items:
+            if isinstance(value, str):
+                lines.append(f"{key}: {value}")
+            elif value is None or isinstance(value, bool):
+                lines.append(f"{key} = {_WORDS[value]}")
+            else:
+                lines.append(f"{key} = {value!r}")
     return lines
 
 
-def _is_reference_config(config: ExperimentConfig) -> bool:
-    values = config.flat()
-    return all(values[key] == value for key, value in _REFERENCE_PARAMS.items())
+def _items(result, skip=()) -> list:
+    """(name, value) of a result dataclass's fields, in declaration order."""
+    return [(f.name, getattr(result, f.name)) for f in fields(result)
+            if f.name not in skip]
 
 
-def _true_half(config: ExperimentConfig, out: Path):
-    """The true loop: kernel, trajectory.csv and events.csv, statistics, envelopes.
+def _assumption_section(report: AssumptionReport):
+    items = _items(report, skip=("alpha_bound_defined",))
+    if not report.alpha_bound_defined:
+        items.append(("note", "alpha bound undefined (|rho0| >= 1)"))
+    elif not report.alpha_satisfies:
+        items.append(("note", "alpha is below the minimal bound; "
+                              "simulation proceeds anyway"))
+    return "assumption check", items
 
-    Returns (report lines, event statistics, final theta).
-    """
+
+def _envelope_items(report: analysis.EnvelopeReport) -> list:
+    return [("rho", report.rho)] + [
+        (check.name, "pass" if check.passed else
+         f"FAIL first_violation_k={check.first_violation_k} "
+         f"max_excess={check.max_excess!r}")
+        for check in report.checks]
+
+
+def _report(config: ExperimentConfig, result: RunResult) -> list:
+    """report.txt of a run as (title, items) sections, in file order."""
+    sections = [_assumption_section(result.assumption)]
+    if result.event_stats is not None:
+        events = _items(result.event_stats)
+        if _REFERENCE_PARAMS.items() <= config.flat().items():
+            events += _REFERENCE_EVENTS
+        sections += [
+            ("events: true loop", events),
+            (f"envelopes: true loop (offset_constant = {config.offset_constant!r})",
+             _envelope_items(result.envelopes))]
+    if result.decay is not None:
+        # where the decay check failed, and by how much, only when it did
+        skip = ("first_violation_k", "max_excess") if result.decay.passed else ()
+        sections += [
+            ("events: average loop", _items(result.avg_event_stats)),
+            ("decay: average loop", _items(result.decay, skip=skip)),
+            ("envelopes: average loop", _envelope_items(result.avg_envelopes))]
+    return sections
+
+
+def _true_half(config: ExperimentConfig, out: Path) -> dict:
+    """Run the true loop, write its CSV files; return its RunResult fields."""
     traj, log = escore.run(config.map_spec, config.loop_spec,
                            config.trigger_spec, config.theta_hat0,
                            config.n_iters)
     _write_true_loop(out / "trajectory.csv", out / "events.csv", traj, log)
-    stats = analysis.event_statistics(log)
-    lines = _stats_lines("true loop", stats)
-    if _is_reference_config(config):
-        lines.append(f"reference_count = {_REFERENCE_EVENT_COUNT}")
-        lines.append(
-            f"reference_mean_gap_seconds = {_REFERENCE_MEAN_GAP_SECONDS!r}")
-    lines += _envelope_lines(
-        f"true loop (offset_constant = {config.offset_constant!r})",
-        analysis.convergence_envelopes(traj, config.map_spec, config.loop_spec,
-                                       config.trigger_spec,
-                                       config.offset_constant))
-    return lines, stats, traj.columns.theta[-1]
+    return dict(
+        trajectory_path=out / "trajectory.csv", events_path=out / "events.csv",
+        event_stats=analysis.event_statistics(log),
+        envelopes=analysis.convergence_envelopes(
+            traj, config.map_spec, config.loop_spec, config.trigger_spec,
+            config.offset_constant),
+        final_theta=traj.columns.theta[-1])
 
 
-def _average_half(config: ExperimentConfig, out: Path):
-    """The averaged loop: kernel, avg_trajectory.csv, statistics, decay, envelopes.
-
-    Returns (report lines, event statistics, decay report).
-    """
+def _average_half(config: ExperimentConfig, out: Path) -> dict:
+    """Run the averaged loop, write its CSV file; return its RunResult fields."""
     avg_traj = average.avg_run(
         config.map_spec, config.loop_spec, config.trigger_spec,
         config.theta_hat0 - config.map_spec.theta_star, config.n_iters)
@@ -303,24 +335,14 @@ def _average_half(config: ExperimentConfig, out: Path):
         fh.write("k,g_av,theta_tilde_av,e_av,triggered\n")
         fh.writelines(block[-1] for block in _csv_blocks(
             (cols.g_av, cols.theta_tilde_av, cols.error), cols.triggered))
-    stats = analysis.event_statistics(avg_traj.events)
-    decay = analysis.check_decay(
-        analysis.lyapunov_sequence(avg_traj), config.map_spec,
-        config.loop_spec, config.trigger_spec)
-    lines = _stats_lines("average loop", stats) + [
-        "# decay: average loop",
-        f"rho = {decay.rho!r}",
-        f"checked = {decay.checked}",
-        f"passed = {'true' if decay.passed else 'false'}",
-    ]
-    if not decay.passed:
-        lines.append(f"first_violation_k = {decay.first_violation_k}")
-        lines.append(f"max_excess = {decay.max_excess!r}")
-    lines += _envelope_lines(
-        "average loop",
-        analysis.convergence_envelopes(avg_traj, config.map_spec,
-                                       config.loop_spec, config.trigger_spec))
-    return lines, stats, decay
+    return dict(
+        avg_trajectory_path=out / "avg_trajectory.csv",
+        avg_event_stats=analysis.event_statistics(avg_traj.events),
+        decay=analysis.check_decay(
+            analysis.lyapunov_sequence(avg_traj), config.map_spec,
+            config.loop_spec, config.trigger_spec),
+        avg_envelopes=analysis.convergence_envelopes(
+            avg_traj, config.map_spec, config.loop_spec, config.trigger_spec))
 
 
 def _fork_call(fn, *args):
@@ -389,50 +411,40 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run the configured experiment and write its output files.
 
     true-loop mode writes trajectory.csv and events.csv; average mode writes
-    avg_trajectory.csv; both writes all three. report.txt always carries the
-    assumption check plus the per-loop statistics and envelope/decay checks.
+    avg_trajectory.csv; both writes all three. report.txt, the assumption
+    check plus each loop's statistics and checks, is written last, from the
+    returned RunResult.
 
     The two loops are independent, so in both mode the averaged half runs
-    in a forked child process while this process runs the true half, where
-    os.fork exists and no other thread runs; otherwise the halves run one
-    after the other here. Either way the files are byte for byte the same,
-    and an error from either half (OSError from an unusable output
-    directory, say) propagates to the caller once the child is reaped.
+    in a forked child process, which sends its RunResult fields back, while
+    this process runs the true half, where os.fork exists and no other
+    thread runs; otherwise the halves run one after the other here. Either
+    way the result is equal and the files are byte for byte the same, and
+    an error from either half (OSError from an unusable output directory,
+    say) propagates to the caller once the child is reaped.
     """
     out = Path(config.out_dir)
     os.makedirs(out, exist_ok=True)
-    report_lines = ["# assumption check"]
-    report_lines += validate_assumption(
-        config.map_spec, config.loop_spec, config.trigger_spec).lines()
-
-    true_half = average_half = None
     if config.mode == "true-loop":
-        true_half = _true_half(config, out)
+        halves = _true_half(config, out)
     elif config.mode == "average":
-        average_half = _average_half(config, out)
+        halves = _average_half(config, out)
     else:
         wait = _fork_call(_average_half, config, out)
         try:
-            true_half = _true_half(config, out)
+            halves = _true_half(config, out)
         except BaseException:
             wait(cancel=True)
             raise
-        average_half = wait()
+        halves |= wait()
 
-    result = {}
-    if true_half is not None:
-        lines, result["event_stats"], result["final_theta"] = true_half
-        report_lines += lines
-        result["trajectory_path"] = out / "trajectory.csv"
-        result["events_path"] = out / "events.csv"
-    if average_half is not None:
-        lines, result["avg_event_stats"], result["decay"] = average_half
-        report_lines += lines
-        result["avg_trajectory_path"] = out / "avg_trajectory.csv"
-
-    report_path = out / "report.txt"
-    report_path.write_text("\n".join(report_lines) + "\n")
-    return RunResult(out_dir=out, report_path=report_path, **result)
+    result = RunResult(
+        out_dir=out, report_path=out / "report.txt",
+        assumption=validate_assumption(config.map_spec, config.loop_spec,
+                                       config.trigger_spec),
+        **halves)
+    result.report_path.write_text("\n".join(_render(_report(config, result))) + "\n")
+    return result
 
 
 def sweep(config: ExperimentConfig, param: str, values) -> Path:
@@ -442,7 +454,8 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
     output directory; summary.csv collects the true-loop event economy, the
     final input error, the average-loop decay verdict, and the entry's rho0.
     Each value, stripped of whitespace, names its entry directory. All are
-    validated, and a directory named twice rejected, before anything runs.
+    validated before anything runs; two that name one directory or parse to
+    one value are rejected.
     """
     if param not in SWEEPABLE:
         raise ConfigError(
@@ -452,7 +465,7 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
         raise ConfigError("sweep requires at least one value")
 
     base = config.flat() | {"run.mode": "both"}
-    entries = {}
+    entries, tokens_of = {}, {}  # out_dir: entry config; value: its token
     for token in tokens:
         out_dir = Path(config.out_dir) / token
         if out_dir in entries:
@@ -463,19 +476,22 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
                 base | {param: token, "run.out_dir": str(out_dir)})
         except ConfigError as exc:
             raise ConfigError(f"{param} = {token}: {exc}") from exc
+        value = entries[out_dir].flat()[param]
+        if value in tokens_of:
+            raise ConfigError(f"{param} = {token}: the same value as "
+                              f"{param} = {tokens_of[value]}")
+        tokens_of[value] = token
 
     rows = []
     for entry in entries.values():
         result = run_experiment(entry)
         final_error = abs(result.final_theta - entry.map_spec.theta_star)
         stats = result.event_stats
-        rho0 = validate_assumption(entry.map_spec, entry.loop_spec,
-                                   entry.trigger_spec).rho0
         mean_gap = stats.mean_gap_seconds
         rows.append((str(entry.flat()[param]), str(stats.count),
                      "nan" if mean_gap is None else repr(mean_gap),
                      repr(final_error), _FLAGS[result.decay.passed],
-                     repr(rho0)))
+                     repr(result.assumption.rho0)))
 
     summary = Path(config.out_dir) / "summary.csv"
     summary.write_text(
@@ -492,9 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("--config", required=True)
-    run_p.add_argument("--mode", choices=MODES)
+    run_p.add_argument("--mode", help="one of " + ", ".join(MODES))
     run_p.add_argument("--out")
-    run_p.add_argument("--iters", type=int)
+    run_p.add_argument("--iters")
 
     sweep_p = sub.add_parser("sweep", help="run one experiment per parameter value")
     sweep_p.add_argument("--config", required=True)
@@ -537,10 +553,10 @@ def main(argv=None) -> int:
                             [v for v in args.values.split(",") if v.strip()])
             print(f"wrote {summary}")
         else:
-            report = validate_assumption(config.map_spec, config.loop_spec,
-                                         config.trigger_spec)
-            for line in report.lines():
-                print(line)
+            # the report's assumption section, without its heading
+            print(*_render([_assumption_section(validate_assumption(
+                config.map_spec, config.loop_spec, config.trigger_spec))])[1:],
+                sep="\n")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,7 @@ against alpha times the measurement error magnitude; the hold refreshes on
 strict crossings only. Diagnostics check the contraction factor rho0 and the
 minimal alpha the stability argument needs. Violations are reported, never
 raised: reference parameter sets that fail the bound must still simulate.
+The AssumptionReport holds values only; etseek.cli renders it as text.
 """
 
 from __future__ import annotations
@@ -48,26 +49,6 @@ class AssumptionReport:
     alpha_min: float
     alpha_satisfies: bool
     alpha_bound_defined: bool
-
-    def lines(self) -> list[str]:
-        """Plain-text rendering used by reports."""
-        out = [
-            f"rho0 = {self.rho0!r}",
-            f"rho0_in_unit_interval = {_bool_word(self.rho0_in_unit_interval)}",
-            f"sign_match = {_bool_word(self.sign_match)}",
-            f"alpha = {self.alpha!r}",
-            f"alpha_min = {self.alpha_min!r}",
-            f"alpha_satisfies = {_bool_word(self.alpha_satisfies)}",
-        ]
-        if not self.alpha_bound_defined:
-            out.append("note: alpha bound undefined (|rho0| >= 1)")
-        elif not self.alpha_satisfies:
-            out.append("note: alpha is below the minimal bound; simulation proceeds anyway")
-        return out
-
-
-def _bool_word(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 def measurement_error(held_gradient: float, gradient: float) -> float:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from array import array
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from etseek import (
     AvgRecord,
     EventEntry,
     StepRecord,
+    analysis,
     avg_run,
     check_decay,
     escore,
@@ -22,7 +24,7 @@ from etseek import (
     validate_assumption,
 )
 from etseek import cli
-from etseek.cli import (_BLOCK_ROWS, _REFERENCE_PARAMS, ConfigError,
+from etseek.cli import (_BLOCK_ROWS, _REFERENCE_PARAMS, MODES, ConfigError,
                         _float_text, main, parse_config, run_experiment,
                         sweep)
 from helpers import (
@@ -222,7 +224,13 @@ def test_sweep_validates_all_values_before_running(tmp_path):
             ("run.offset_constant", ["-1"],
              r"run.offset_constant must be finite and >= 0"),
             ("trigger.alpha", ["0.74", "0.9", " 0.74"],
-             r"trigger.alpha = 0.74: entry directory .*0.74 is named twice")]:
+             r"trigger.alpha = 0.74: entry directory .*0.74 is named twice"),
+            # two directories, one experiment: summary.csv could not tell
+            # their rows apart
+            ("trigger.alpha", ["0.9", "0.74", "0.90"],
+             r"trigger.alpha = 0.90: the same value as trigger.alpha = 0.9$"),
+            ("run.n_iters", ["1000", "01000"],
+             r"run.n_iters = 01000: the same value as run.n_iters = 1000$")]:
         with pytest.raises(ConfigError, match=message):
             sweep(config, param, values)
         assert not (tmp_path / "sw").exists()
@@ -260,6 +268,163 @@ def test_main_run_and_check_exit_zero(tmp_path, capsys):
     assert "alpha_satisfies = false" in out
 
 
+def _assumption_variants():
+    """Config text of the reference set and of two edits that change its
+    assumption check: a sign-flipped gain and a large alpha."""
+    text = REFERENCE_CFG.read_text()
+    return {"reference": text,
+            "k240": _edit(text, "k = -240.0", "k = 240.0"),
+            "alpha2": _edit(text, "alpha = 0.74", "alpha = 2.0")}
+
+
+_CHECK_STDOUT = {
+    "reference": """\
+rho0 = 0.8488
+rho0_in_unit_interval = true
+sign_match = true
+alpha = 0.74
+alpha_min = 1.8804406459690333
+alpha_satisfies = false
+note: alpha is below the minimal bound; simulation proceeds anyway
+""",
+    "k240": """\
+rho0 = 1.1512
+rho0_in_unit_interval = false
+sign_match = false
+alpha = 0.74
+alpha_min = nan
+alpha_satisfies = false
+note: alpha bound undefined (|rho0| >= 1)
+""",
+    "alpha2": """\
+rho0 = 0.8488
+rho0_in_unit_interval = true
+sign_match = true
+alpha = 2.0
+alpha_min = 1.8804406459690333
+alpha_satisfies = true
+""",
+}
+
+
+def test_check_prints_the_assumption_section_of_the_report(tmp_path, capsys):
+    for name, text in _assumption_variants().items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert main(["check", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out == _CHECK_STDOUT[name], name
+        assert main(["run", "--config", str(cfg), "--mode", "true-loop",
+                     "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        report = (tmp_path / name / "report.txt").read_text()
+        assert report.startswith(
+            "# assumption check\n" + out + "# events: true loop\n"), name
+
+
+_REPORT_WORDS = {"n/a": None, "true": True, "false": False}
+
+
+def _read_report(path):
+    """report.txt as {section title: {key: value}}, in file order.
+
+    A `key = value` line reads back as None, a bool, an int or a float; a
+    `key: text` line keeps its text.
+    """
+    sections = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            items = sections.setdefault(line[2:], {})
+        elif " = " in line:
+            key, text = line.split(" = ")
+            if text in _REPORT_WORDS:
+                items[key] = _REPORT_WORDS[text]
+            else:
+                try:
+                    items[key] = int(text)
+                except ValueError:
+                    items[key] = float(text)
+        else:
+            key, text = line.split(": ", 1)
+            items[key] = text
+    return sections
+
+
+def _assert_reads_back(section, expected):
+    assert list(section) == list(expected)
+    for key, value in expected.items():
+        got = section[key]
+        assert type(got) is type(value), (key, got, value)
+        assert got == value or got != got and value != value, (key, got, value)
+
+
+def _verdicts(section, report):
+    """An envelope section's verdicts read back as their EnvelopeChecks."""
+    assert section.pop("rho") == report.rho
+    checks = []
+    for name, verdict in section.items():
+        if verdict == "pass":
+            checks.append(analysis.EnvelopeCheck(name, True, None, 0.0))
+        else:
+            word, k, excess = verdict.split(" ")
+            assert word == "FAIL"
+            assert k.startswith("first_violation_k=")
+            assert excess.startswith("max_excess=")
+            checks.append(analysis.EnvelopeCheck(
+                name, False, int(k.split("=")[1]), float(excess.split("=")[1])))
+    return tuple(checks)
+
+
+def test_report_reads_back_as_the_run_result(tmp_path):
+    notes = {"reference": "alpha is below the minimal bound; simulation "
+                          "proceeds anyway",
+             "k240": "alpha bound undefined (|rho0| >= 1)", "alpha2": None}
+    decay_verdicts, envelope_verdicts = set(), set()
+    for name, text in _assumption_variants().items():
+        for mode in MODES:
+            result = run_experiment(replace(
+                parse_config(text), mode=mode, out_dir=str(tmp_path / name / mode)))
+            report = _read_report(result.report_path)
+            titles = ["assumption check"]
+            if mode != "average":
+                titles += ["events: true loop",
+                           "envelopes: true loop (offset_constant = 0.3)"]
+            if mode != "true-loop":
+                titles += ["events: average loop", "decay: average loop",
+                           "envelopes: average loop"]
+            assert list(report) == titles, (name, mode)
+
+            assumption = asdict(result.assumption)
+            del assumption["alpha_bound_defined"]
+            if notes[name] is not None:
+                assumption["note"] = notes[name]
+            _assert_reads_back(report["assumption check"], assumption)
+
+            if mode != "average":
+                events = asdict(result.event_stats)
+                if name == "reference":
+                    events |= {"reference_count": 19,
+                               "reference_mean_gap_seconds": 9.47}
+                _assert_reads_back(report["events: true loop"], events)
+                assert _verdicts(report[titles[2]], result.envelopes) \
+                    == result.envelopes.checks
+                envelope_verdicts.update(c.passed for c in result.envelopes.checks)
+            if mode != "true-loop":
+                _assert_reads_back(report["events: average loop"],
+                                   asdict(result.avg_event_stats))
+                # where the decay check failed, and by how much, only then
+                decay = asdict(result.decay)
+                if result.decay.passed:
+                    del decay["first_violation_k"], decay["max_excess"]
+                _assert_reads_back(report["decay: average loop"], decay)
+                decay_verdicts.add(result.decay.passed)
+                assert _verdicts(report["envelopes: average loop"],
+                                 result.avg_envelopes) == result.avg_envelopes.checks
+                envelope_verdicts.update(
+                    c.passed for c in result.avg_envelopes.checks)
+    assert decay_verdicts == envelope_verdicts == {True, False}
+
+
 def test_main_mode_and_iters_overrides(tmp_path):
     out_dir = tmp_path / "short"
     assert main(["run", "--config", str(REFERENCE_CFG), "--mode", "average",
@@ -283,6 +448,15 @@ def test_main_config_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", "--config", str(REFERENCE_CFG), "--param", "nope",
                  "--values", "1", "--out", str(tmp_path / "sw")]) == 1
     assert "cannot sweep" in capsys.readouterr().err
+    # option values go through the config's validation, not argparse's
+    # (which exits 2, the code for output errors)
+    for option, value, message in (
+            ("--iters", "1e3", "run.n_iters: could not parse '1e3' as an integer"),
+            ("--mode", "bogus", "run.mode must be one of true-loop, average, both")):
+        assert main(["run", "--config", str(REFERENCE_CFG), option, value,
+                     "--out", str(tmp_path / "never")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "never").exists()
 
 
 def test_main_non_finite_values_exit_one(tmp_path, capsys):
@@ -557,10 +731,10 @@ def test_forked_and_in_process_runs_are_byte_identical(tmp_path, monkeypatch):
         for file_name in names:
             assert ((forked.out_dir / file_name).read_bytes()
                     == (serial.out_dir / file_name).read_bytes()), (name, file_name)
-        assert forked.decay == serial.decay
-        assert forked.event_stats == serial.event_stats
-        assert forked.avg_event_stats == serial.avg_event_stats
-        assert forked.final_theta == serial.final_theta
+        for field in ("assumption", "event_stats", "envelopes", "final_theta",
+                      "avg_event_stats", "decay", "avg_envelopes"):
+            assert getattr(forked, field) is not None, (name, field)
+            assert getattr(forked, field) == getattr(serial, field), (name, field)
     _assert_no_child_left()
 
 
