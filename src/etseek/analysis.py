@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Union
 
 from etseek.average import AvgTrajectory
 from etseek.escore import EventEntry, EventLog, LoopSpec, MapSpec, Trajectory
-from etseek.trigger import TriggerSpec, validate_assumption
+from etseek.trigger import TriggerSpec, contraction_increment
 
 __all__ = [
     "DECAY_SLACK",
@@ -145,10 +145,10 @@ def lyapunov_sequence(g_av_trajectory: Union[AvgTrajectory, Iterable[float]]) ->
 def decay_rate(map_spec: MapSpec, loop: LoopSpec, trig: TriggerSpec) -> float:
     """Per-step contraction factor of the averaged Lyapunov sequence.
 
-    Derives from the same rho0 the assumption check reports, keeping one
-    source of truth: rho = 1 - (1 - rho0^2)(1 - sigma)/2.
+    rho = 1 - (1 - rho0^2)(1 - sigma)/2, with rho0 = 1 - c_g from the one
+    contraction increment, the same bits the assumption check reports.
     """
-    rho0 = validate_assumption(map_spec, loop, trig).rho0
+    rho0 = 1.0 - contraction_increment(map_spec, loop)
     return 1.0 - (1.0 - rho0 * rho0) * (1.0 - trig.sigma) / 2.0
 
 

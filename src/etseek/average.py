@@ -2,13 +2,15 @@
 
 Averaging the dither out of the true loop leaves a scalar linear recursion
 for the averaged gradient estimate, driven by the held-versus-current error.
-Between events the recursion telescopes to a closed form, which gives an
-integer-scan lower estimate for the spacing of triggering instants.
+Between events the recursion telescopes to a closed form, and where that
+form first meets the triggering bound is the smallest guaranteed spacing of
+triggering instants.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,9 +19,6 @@ from etseek import _kernel
 from etseek import trigger as _trigger
 from etseek.escore import (EventLog, LoopSpec, MapSpec, RowView, check_columns,
                            event_log, eq_by_bits, trajectory_row)
-
-_SCAN_LIMIT = 1_000_000
-
 
 @dataclass(frozen=True)
 class AvgState:
@@ -91,10 +90,9 @@ class AvgTrajectory:
 
 @dataclass(frozen=True)
 class ZenoEstimate:
-    """Smallest guaranteed event spacing in iterations, with the slack used."""
+    """Smallest guaranteed event spacing in iterations."""
 
     k_star: int
-    epsilon_term: float
 
     def __post_init__(self):
         if self.k_star < 1:
@@ -144,29 +142,60 @@ def closed_form_between_events(map_spec: MapSpec, loop: LoopSpec,
 
 
 def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
-                             trig: _trigger.TriggerSpec, g_at_event: float,
-                             epsilon_term: float = 0.0) -> ZenoEstimate:
-    """Smallest n >= 1 at which the trigger must have fired, by integer scan.
+                             trig: _trigger.TriggerSpec,
+                             g_at_event: float) -> ZenoEstimate:
+    """Smallest n >= 1 at which the trigger must have fired, in closed form.
 
-    Plugs the closed form into the triggering condition with an additive
-    slack epsilon_term >= 0 on both magnitudes. The scan is capped: when
-    alpha < sqrt(sigma) the bound sequences can grow at matched slopes and
-    the condition may never be met, which is reported instead of looping.
+    At x = n*c_g the closed form has |e| = |x|*|g0| and |g| = |1 - x|*|g0|,
+    so the bound alpha*|e| >= r*|g|, r = sqrt(sigma), reads alpha*|x| >=
+    r*|1 - x|. It first holds at x = r/(r + alpha) for c_g > 0 (and stops
+    past r/(r - alpha) if alpha < r, a stretch a large c_g steps over), and
+    at x = r/(r - alpha) for c_g < 0 if alpha > r. The integer there and its
+    neighbours are checked with the closed form and that comparison.
+
+    Raises RuntimeError when no n meets the bound, a NaN g0 or a crossing
+    past float range included, and when rounding rather than n decides
+    where the comparison first holds.
     """
-    if epsilon_term < 0:
-        raise ValueError("min_inter_event_estimate requires epsilon_term >= 0")
     c_g = _trigger.contraction_increment(map_spec, loop)
     root_sigma = math.sqrt(trig.sigma)
-    for n in range(1, _SCAN_LIMIT + 1):
-        nc = n * c_g
-        lhs = trig.alpha * (abs(nc * g_at_event) + epsilon_term)
-        rhs = root_sigma * abs(abs((1.0 - nc) * g_at_event) - epsilon_term)
-        if lhs >= rhs:
-            return ZenoEstimate(k_star=n, epsilon_term=epsilon_term)
+    alpha = trig.alpha
+
+    def met(n):
+        g, e = closed_form_between_events(map_spec, loop, g_at_event, n)
+        return alpha * abs(e) >= root_sigma * abs(g)
+
+    if met(1):
+        return ZenoEstimate(k_star=1)
+    # alpha*|x| - r*|1 - x| grows by slope per unit of |x| at its crossing
+    slope = alpha + root_sigma if c_g > 0.0 else alpha - root_sigma
+    first = root_sigma / slope / abs(c_g) if c_g and slope > 0.0 else math.inf
+    # A step moves the sides apart by slope*rate. Each side carries up to
+    # four roundings: relative, or absolute below the normal range. Unless
+    # a step outgrows them twice over, and g0 is normal, the roundings and
+    # not n decide where the comparison first holds.
+    rate = abs(c_g * g_at_event)
+    noise = (alpha + root_sigma + 2.0) * (
+        4.0 * sys.float_info.epsilon * first * rate + math.ulp(0.0))
+    if abs(g_at_event) < sys.float_info.min or (
+            first < math.inf and slope * rate <= 2.0 * noise):
+        raise RuntimeError(
+            "rounding, not the iteration count, decides where the triggering "
+            "bound first holds near n = {!r} (c_g = {!r}, g_at_event = {!r})"
+            .format(first, c_g, g_at_event))
+    if first < math.inf:
+        n = max(2, math.ceil(first))
+        before, at = met(n - 1), met(n)
+        if before:
+            n, before, at = n - 1, met(n - 2), True
+        elif not at:
+            n, at = n + 1, met(n + 1)
+        if at and not before:
+            return ZenoEstimate(k_star=n)
     raise RuntimeError(
-        "no iteration count up to {} satisfies the triggering bound; "
-        "the condition is unsatisfiable when alpha is too far below "
-        "sqrt(sigma)".format(_SCAN_LIMIT))
+        "no iteration count meets the triggering bound alpha*|e| >= "
+        "sqrt(sigma)*|g|: n*c_g reaches its first crossing at n = {!r} "
+        "(c_g = {!r}, g_at_event = {!r})".format(first, c_g, g_at_event))
 
 
 def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,

@@ -114,10 +114,84 @@ def test_closed_form_matches_stepping():
         assert state.held_g_av - state.g_av == pytest.approx(e_av, rel=1e-13)
 
 
+def _scan(map_spec, loop, trig, g_at_event, stop, start=1):
+    """Integer-scan oracle of min_inter_event_estimate: the first n in
+    [start, stop] at which the closed form meets the bound, or None."""
+    c_g = contraction_increment(map_spec, loop)
+    root_sigma = math.sqrt(trig.sigma)
+    for n in range(start, stop + 1):
+        nc = n * c_g
+        if trig.alpha * abs(nc * g_at_event) >= root_sigma * abs((1.0 - nc) * g_at_event):
+            return n
+    return None
+
+
+def _k_star(map_spec, loop, trig, g_at_event):
+    try:
+        return min_inter_event_estimate(map_spec, loop, trig, g_at_event).k_star
+    except RuntimeError:
+        return None
+
+
 def test_min_gap_estimate_reference_scan():
     map_spec, loop, trig = reference_specs()
     est = min_inter_event_estimate(map_spec, loop, trig, 1.0)
-    assert est == ZenoEstimate(k_star=4, epsilon_term=0.0)
+    assert est == ZenoEstimate(k_star=4)
+    assert _scan(map_spec, loop, trig, 1.0, 10) == 4
+
+
+def test_min_gap_estimate_matches_the_scan_oracle():
+    # gains flipped so that c_g < 0, alpha within 1e-12 of sqrt(sigma) on
+    # either side, and event gradients from zero to 1e3 in magnitude
+    rng = random.Random(205)
+    limit = 2000
+    outcomes = {"found": 0, "beyond limit": 0, "raised": 0}
+    for _ in range(4000):
+        map_spec, loop, trig = draw_specs(rng)
+        if rng.random() < 0.3:
+            loop = replace(loop, gain_k=-loop.gain_k)
+        if rng.random() < 0.2:
+            trig = replace(trig, alpha=math.sqrt(trig.sigma)
+                           * rng.choice([1.0, 1.0 + 1e-12, 1.0 - 1e-12]))
+        g0 = rng.choice([0.0, 1.0, -7.3, 1e-300, rng.uniform(-1e3, 1e3)])
+        k_star = _k_star(map_spec, loop, trig, g0)
+        if k_star is None:
+            outcomes["raised"] += 1
+            assert _scan(map_spec, loop, trig, g0, limit) is None
+        elif k_star <= limit:
+            outcomes["found"] += 1
+            assert _scan(map_spec, loop, trig, g0, limit) == k_star
+        else:
+            outcomes["beyond limit"] += 1
+            assert _scan(map_spec, loop, trig, g0, limit) is None
+            assert _scan(map_spec, loop, trig, g0, k_star, k_star - 1) == k_star
+    assert all(outcomes.values()), outcomes
+
+
+def test_min_gap_estimate_rounding_moves_the_crossing_one_step():
+    # the crossing n*c_g = r/(r + alpha) or r/(r - alpha) falls within a
+    # rounding of an integer, and the comparison settles on the other side:
+    # at n = 47, below the computed 47.000000000000014, and at n = 41, past
+    # the computed 40.0
+    map_spec, loop, _ = reference_specs()
+    for gain_k, trig, g0, k_star in (
+            (67.5447483958122, TriggerSpec(0.25, 0.75), 0.1, 47),
+            (-21.645021645021647, TriggerSpec(0.36, 0.5), 3.0, 41)):
+        case_loop = replace(loop, gain_k=gain_k)
+        est = min_inter_event_estimate(map_spec, case_loop, trig, g0)
+        assert est.k_star == k_star
+        assert _scan(map_spec, case_loop, trig, g0, 100) == k_star
+
+
+def test_min_gap_estimate_past_the_old_scan_cap():
+    # loop.k = -0.0001 gives c_g = 6.3e-08: the bound first holds at
+    # n = 8,423,071, past the 1e6 iterations the scan looked at
+    map_spec, loop, trig = reference_specs()
+    loop = replace(loop, gain_k=-0.0001)
+    assert contraction_increment(map_spec, loop) == pytest.approx(6.3e-08, rel=1e-12)
+    est = min_inter_event_estimate(map_spec, loop, trig, 1.0)
+    assert est.k_star == 8_423_071
+    assert _scan(map_spec, loop, trig, 1.0, est.k_star, est.k_star - 1) == est.k_star
 
 
 def test_min_gap_estimate_small_sigma_is_one():
@@ -132,24 +206,62 @@ def test_min_gap_estimate_zero_gradient_is_one():
     assert min_inter_event_estimate(map_spec, loop, trig, 0.0).k_star == 1
 
 
-def test_min_gap_estimate_rejects_negative_slack():
-    map_spec, loop, trig = reference_specs()
-    with pytest.raises(ValueError, match="epsilon_term >= 0"):
-        min_inter_event_estimate(map_spec, loop, trig, 1.0, epsilon_term=-0.1)
-
-
 def test_min_gap_estimate_unsatisfiable_is_reported():
-    # alpha far below sqrt(sigma): both bound sequences grow at matched
-    # slopes with the trigger side behind, so no finite n qualifies
+    # alpha far below sqrt(sigma): the bound holds only for n*c_g between
+    # 0.990 and 1.010, and multiples of c_g = 0.1512 step over that stretch
     map_spec, loop, _ = reference_specs()
     trig = TriggerSpec(sigma=0.99, alpha=0.01)
     with pytest.raises(RuntimeError, match="no iteration count"):
         min_inter_event_estimate(map_spec, loop, trig, 1.0)
+    assert _scan(map_spec, loop, trig, 1.0, 1000) is None
+
+
+def test_min_gap_estimate_degenerate_increments():
+    map_spec, loop, trig = reference_specs()
+    # a = 1e-200 underflows c_g to 0: e stays 0, so only g0 = 0 meets the bound
+    flat = replace(loop, amplitude_a=1e-200)
+    assert contraction_increment(map_spec, flat) == 0.0
+    assert min_inter_event_estimate(map_spec, flat, trig, 0.0).k_star == 1
+    with pytest.raises(RuntimeError, match="no iteration count"):
+        min_inter_event_estimate(map_spec, flat, trig, 1.0)
+    # a = 1e-160 gives a subnormal c_g: the crossing lies past float range,
+    # even with alpha = 0.9 above sqrt(sigma)
+    tiny = replace(loop, amplitude_a=1e-160)
+    assert 0.0 < contraction_increment(map_spec, tiny) < 1e-300
+    with pytest.raises(RuntimeError, match="no iteration count"):
+        min_inter_event_estimate(map_spec, tiny, TriggerSpec(0.5, 0.9), 1.0)
+    # with c_g < 0 the bound needs alpha > sqrt(sigma)
+    flipped = replace(loop, gain_k=-loop.gain_k)
+    with pytest.raises(RuntimeError, match="no iteration count"):
+        min_inter_event_estimate(map_spec, flipped, TriggerSpec(0.5, 0.7), 1.0)
+    assert min_inter_event_estimate(map_spec, flipped, TriggerSpec(0.5, 0.9),
+                                    1.0).k_star == _scan(
+        map_spec, flipped, TriggerSpec(0.5, 0.9), 1.0, 100)
+
+
+def test_min_gap_estimate_refuses_what_rounding_decides():
+    map_spec, loop, trig = reference_specs()
+    # NaN never meets the bound
+    with pytest.raises(RuntimeError, match="no iteration count"):
+        min_inter_event_estimate(map_spec, loop, trig, math.nan)
+    # a subnormal event gradient rounds its products to a few bits: with
+    # c_g < 0 and alpha = sqrt(sigma) the bound never holds exactly, yet the
+    # comparison holds at n = 4
+    flipped = replace(loop, gain_k=-loop.gain_k)
+    even = TriggerSpec(sigma=0.5, alpha=math.sqrt(0.5))
+    assert _scan(map_spec, flipped, even, 5e-324, 10) == 4
+    with pytest.raises(RuntimeError, match="rounding"):
+        min_inter_event_estimate(map_spec, flipped, even, 5e-324)
+    # c_g < 0 and alpha a hair above sqrt(sigma): the crossing is near
+    # n = 1e10, where one step moves the sides less than their rounding
+    close = TriggerSpec(sigma=0.5, alpha=math.sqrt(0.5) * (1.0 + 1e-9))
+    with pytest.raises(RuntimeError, match="rounding"):
+        min_inter_event_estimate(map_spec, flipped, close, 1.0)
 
 
 def test_zeno_estimate_invariant():
     with pytest.raises(ValueError, match="k_star must be >= 1"):
-        ZenoEstimate(k_star=0, epsilon_term=0.0)
+        ZenoEstimate(k_star=0)
 
 
 def test_avg_state_invariant():
@@ -174,7 +286,7 @@ def test_avg_run_reference_fires_every_four_iterations():
     traj = avg_run(map_spec, loop, trig, -2.5, 1000)
     ks = [e.k for e in traj.events.entries]
     assert ks == list(range(0, 1000, 4))
-    # observed minimum gap equals the integer-scan estimate
+    # observed minimum gap equals the closed-form estimate
     est = min_inter_event_estimate(map_spec, loop, trig,
                                    traj.events.entries[0].gradient)
     assert min(b - a for a, b in zip(ks, ks[1:])) == est.k_star

@@ -519,6 +519,20 @@ def test_module_entry_point():
     assert "rho0 = 0.8488" in out.stdout
 
 
+def test_import_etseek_leaves_the_cli_unloaded():
+    # the package promises that import etseek does not load etseek.cli, and
+    # the benchmark's set-up time counts on that
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, etseek; print(*sorted(m for m in "
+         "('etseek.cli', 'argparse', 'configparser') if m in sys.modules))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "\n"
+
+
 def test_module_run_under_warnings_as_errors(tmp_path):
     # the forked averaged half and its pipe must leave no ResourceWarning or
     # DeprecationWarning behind; under -W error one would fail the run or

@@ -1,6 +1,7 @@
 """True-loop operations, stepping order, and run-level invariants."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -170,6 +171,23 @@ def test_reference_params_hold_never_refires():
     assert len(log.entries) == 1
     assert all(r.theta_hat == REFERENCE_THETA_HAT0 for r in traj.records)
     assert all(not r.triggered for r in traj.records)
+
+
+def test_overflowing_start_reaches_the_trigger_as_nan():
+    # Regression pin: theta_hat0 = 1e200 is finite, so run accepts it, but
+    # the squared offset overflows and y[0] = -inf; the k = 0 dither sample
+    # is 0, so g[0] = 0 * -inf is NaN, and NaN then fills every gradient.
+    # The trigger never fires on NaN, leaving only the seed event, whose
+    # held gradient is that NaN.
+    map_spec, loop, trig = reference_specs()
+    for alpha in (0.74, 2.0):
+        traj, log = run(map_spec, loop, replace(trig, alpha=alpha), 1e200, 200)
+        cols = traj.columns
+        assert cols.y[0] == -math.inf
+        assert all(math.isnan(g) for g in cols.gradient)
+        assert not any(cols.triggered)
+        assert list(log.ks) == [0]
+        assert math.isnan(log.gradients[0])
 
 
 _RUNS = None

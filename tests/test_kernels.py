@@ -33,58 +33,85 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
+def _events(log):
+    """An EventLog's iterations and the bits of its held gradients."""
+    return list(log.ks), [_bits(g) for g in log.gradients]
+
+
 def _recompose_true(map_spec, loop, trig, theta0, n):
+    """Records of n steps and the (ks, gradient bits) of their events."""
     state = initial_state(map_spec, loop, theta0)
     records = []
-    event_ks = [0]
+    events = ([0], [_bits(state.held_gradient)])
     for _ in range(n):
         state, rec = step(map_spec, loop, trig, state)
         records.append(rec)
         if rec.triggered:
-            event_ks.append(rec.k)
-    return records, event_ks
+            events[0].append(rec.k)
+            events[1].append(_bits(rec.gradient))
+    return records, events
 
 
 def test_run_matches_step_composition_on_reference():
+    # the reference set never fires; gain 240 has the curvature's sign wrong
     map_spec, loop, trig = reference_specs()
-    traj, log = escore.run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 500)
-    records, event_ks = _recompose_true(map_spec, loop, trig,
-                                        REFERENCE_THETA_HAT0, 500)
-    assert _r([(r.theta_hat, r.theta, r.y, r.gradient, r.error, r.control,
-                r.triggered) for r in traj.records]) == \
-        _r([(r.theta_hat, r.theta, r.y, r.gradient, r.error, r.control,
-             r.triggered) for r in records])
-    assert [e.k for e in log.entries] == event_ks
+    for case_loop in (loop, replace(loop, gain_k=240.0)):
+        traj, log = escore.run(map_spec, case_loop, trig,
+                               REFERENCE_THETA_HAT0, 500)
+        records, events = _recompose_true(map_spec, case_loop, trig,
+                                          REFERENCE_THETA_HAT0, 500)
+        assert _r([(r.theta_hat, r.theta, r.y, r.gradient, r.error,
+                    r.control, r.triggered) for r in traj.records]) == \
+            _r([(r.theta_hat, r.theta, r.y, r.gradient, r.error, r.control,
+                 r.triggered) for r in records])
+        assert _events(log) == events
 
 
 def test_run_matches_step_composition_on_random_draws():
     for specs, traj, log in finite_true_runs(seed=403, count=30):
-        records, event_ks = _recompose_true(*specs, traj.records[0].theta_hat,
-                                            len(traj.records))
-        assert [e.k for e in log.entries] == event_ks
+        records, events = _recompose_true(*specs, traj.records[0].theta_hat,
+                                          len(traj.records))
+        assert _events(log) == events
         for a, b in zip(traj.records, records):
             assert repr(a) == repr(b)
 
 
+def _recompose_avg(map_spec, loop, trig, theta_tilde0, n):
+    """AvgRecord reprs of n averaged steps and the (ks, gradient bits) of
+    their events."""
+    g0 = map_spec.h_star * theta_tilde0
+    state = AvgState(k=0, g_av=g0, held_g_av=g0, last_event_k=0)
+    rows = []
+    events = ([0], [_bits(g0)])
+    for _ in range(n):
+        e = measurement_error(state.held_g_av, state.g_av)
+        nxt = avg_step(map_spec, loop, trig, state)
+        fired = nxt.last_event_k == state.k and state.k > 0
+        rows.append(repr(AvgRecord(
+            k=state.k, g_av=state.g_av,
+            theta_tilde_av=state.g_av / map_spec.h_star,
+            held_g_av=nxt.held_g_av, error=e, triggered=fired)))
+        if fired:
+            events[0].append(state.k)
+            events[1].append(_bits(state.g_av))
+        state = nxt
+    return rows, events
+
+
 def test_avg_run_matches_avg_step_composition():
     rng = random.Random(404)
-    cases = [(reference_specs(), -2.5)]
+    # theta_tilde0 = 0.0 with h_star < 0 seeds the event log with -0.0
+    cases = [(reference_specs(), -2.5), (reference_specs(), 0.0)]
     for _ in range(30):
         cases.append((draw_specs(rng), rng.uniform(-5.0, 5.0)))
+    fired = 0
     for (map_spec, loop, trig), tt0 in cases:
         traj = avg_run(map_spec, loop, trig, tt0, 120)
-        g0 = map_spec.h_star * tt0
-        state = AvgState(k=0, g_av=g0, held_g_av=g0, last_event_k=0)
-        for rec in traj.records:
-            e = measurement_error(state.held_g_av, state.g_av)
-            nxt = avg_step(map_spec, loop, trig, state)
-            fired = nxt.last_event_k == state.k and state.k > 0
-            assert repr(rec.g_av) == repr(state.g_av)
-            assert repr(rec.theta_tilde_av) == repr(state.g_av / map_spec.h_star)
-            assert repr(rec.held_g_av) == repr(nxt.held_g_av)
-            assert repr(rec.error) == repr(e)
-            assert rec.triggered == fired
-            state = nxt
+        rows, events = _recompose_avg(map_spec, loop, trig, tt0, 120)
+        assert [repr(r) for r in traj.records] == rows
+        assert _events(traj.events) == events
+        fired += len(events[0]) - 1
+    assert fired > 100
 
 
 def test_rows_match_step_composition_on_diverging_run():
@@ -93,10 +120,10 @@ def test_rows_match_step_composition_on_diverging_run():
     map_spec, loop, trig = reference_specs()
     trig = replace(trig, alpha=2.0)
     traj, log = escore.run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 1000)
-    records, event_ks = _recompose_true(map_spec, loop, trig,
-                                        REFERENCE_THETA_HAT0, 1000)
-    assert [e.k for e in log.entries] == event_ks
-    assert len(event_ks) > 10
+    records, events = _recompose_true(map_spec, loop, trig,
+                                      REFERENCE_THETA_HAT0, 1000)
+    assert _events(log) == events
+    assert len(events[0]) > 10
     assert [repr(r) for r in traj.records] == [repr(r) for r in records]
     cells = {repr(c) for r in records
              for c in (r.theta_hat, r.theta, r.y, r.gradient, r.error, r.control)}
@@ -110,19 +137,9 @@ def test_avg_rows_match_avg_step_composition():
              (replace(loop, gain_k=240.0), trig, 6000)]
     for case_loop, case_trig, n in cases:
         traj = avg_run(map_spec, case_loop, case_trig, -2.5, n)
-        g0 = map_spec.h_star * -2.5
-        state = AvgState(k=0, g_av=g0, held_g_av=g0, last_event_k=0)
-        expected = []
-        for _ in range(n):
-            e = measurement_error(state.held_g_av, state.g_av)
-            nxt = avg_step(map_spec, case_loop, case_trig, state)
-            fired = nxt.last_event_k == state.k and state.k > 0
-            expected.append(repr(AvgRecord(
-                k=state.k, g_av=state.g_av,
-                theta_tilde_av=state.g_av / map_spec.h_star,
-                held_g_av=nxt.held_g_av, error=e, triggered=fired)))
-            state = nxt
-        assert [repr(r) for r in traj.records] == expected
+        rows, events = _recompose_avg(map_spec, case_loop, case_trig, -2.5, n)
+        assert [repr(r) for r in traj.records] == rows
+        assert _events(traj.events) == events
     # the gain-240 case: theta_tilde_av stays finite and tracks g_av / h_star
     assert all(math.isfinite(r.theta_tilde_av) and
                _bits(r.theta_tilde_av) == _bits(r.g_av / map_spec.h_star)

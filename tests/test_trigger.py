@@ -60,6 +60,17 @@ def test_zero_error_never_triggers():
         assert not should_trigger(TriggerSpec(sigma, alpha), g, 0.0)
 
 
+def test_nan_never_triggers():
+    # a NaN gradient or error makes the margin NaN, and NaN < 0 is false: a
+    # diverged loop stops refreshing its hold instead of firing
+    nan = math.nan
+    for sigma, alpha in [(0.7, 0.74), (0.7, 2.0), (0.01, 5.0)]:
+        trig = TriggerSpec(sigma, alpha)
+        for g, e in [(nan, 1.0), (1.0, nan), (nan, nan), (nan, 0.0),
+                     (0.0, nan), (math.inf, nan)]:
+            assert should_trigger(trig, g, e) is False
+
+
 def test_scale_invariance_property():
     # both sides of the condition are 1-homogeneous in (|g|, |e|)
     rng = random.Random(91)
