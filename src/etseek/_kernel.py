@@ -8,12 +8,8 @@ operation order and expressions as they are: golden files depend on it.
 Both kernels return columns, not rows: a tuple of per-step columns, one
 array('d') per value and an array('b') of fired flags last, in the field
 order of the matching record type (escore.StepRecord, average.AvgRecord)
-without k, which is the index. The event list comes back as a pair of
-columns too: array('q') of iterations and array('d') of the gradients held
-from them, which escore.EventLog keeps as they are. In run_loop an event's
-gradient is the very float in the gradient column at its row, and -gain_k
-times it is the control column there, so the CLI writes events.csv from
-the trajectory's cells in the same pass as trajectory.csv.
+without k, which is the index. They keep no event list: escore.event_log
+reads the triggering instants off the fired column.
 """
 
 from __future__ import annotations
@@ -26,11 +22,10 @@ def run_loop(q_star, h_star, theta_star, a, omega, epsilon, gain_k,
              sigma, alpha, theta_hat0, n_iters):
     """Step the true closed loop n_iters times from k = 0.
 
-    Returns (columns, events). columns is (theta_hat, theta, y, gradient,
-    error, control, fired), each holding the value observed at iteration k
-    at index k, with error recorded before any hold reset. events is
-    (ks, gradients) of the triggering instants; the k = 0 entry is the
-    initialization event that seeds the hold, not a fired trigger.
+    Returns the columns (theta_hat, theta, y, gradient, error, control,
+    fired), each holding the value observed at iteration k at index k, with
+    error recorded before any hold reset. Row 0 seeds the hold and so never
+    fires: its error is 0.0, or NaN from a non-finite gradient.
     """
     we = omega * epsilon
     root_sigma = sqrt(sigma)
@@ -40,8 +35,6 @@ def run_loop(q_star, h_star, theta_star, a, omega, epsilon, gain_k,
                array("d"), array("b"))
     add_th, add_theta, add_y, add_g, add_e, add_u, add_fired = (
         col.append for col in columns)
-    events = (array("q"), array("d"))
-    add_event_k, add_event_g = (col.append for col in events)
     for k in range(n_iters):
         s = a * sin(we * k)
         theta = th + s
@@ -52,14 +45,10 @@ def run_loop(q_star, h_star, theta_star, a, omega, epsilon, gain_k,
             # the origin is a triggering instant: it seeds the hold, and the
             # error below is then exactly zero
             held = g
-            add_event_k(0)
-            add_event_g(g)
         e = held - g
         fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
         if fired:
             held = g
-            add_event_k(k)
-            add_event_g(g)
         u = -gain_k * held
         add_th(th)
         add_theta(theta)
@@ -69,7 +58,7 @@ def run_loop(q_star, h_star, theta_star, a, omega, epsilon, gain_k,
         add_u(u)
         add_fired(fired)
         th = th + epsilon * u
-    return columns, events
+    return columns
 
 
 def avg_loop(h_star, c_g, sigma, alpha, theta_tilde0, n_iters):
@@ -78,9 +67,9 @@ def avg_loop(h_star, c_g, sigma, alpha, theta_tilde0, n_iters):
     c_g is trigger.contraction_increment, passed in so the recursion
     matches the diagnostics exactly. g is the only state: the
     theta_tilde_av column is g / h_star, so g_av = h_star * theta_tilde_av
-    by construction. columns is (g_av, theta_tilde_av, held_g_av, error,
-    fired), indexed by k, with the post-fire hold and the pre-fire error as
-    in run_loop; events is (ks, gradients) as in run_loop.
+    by construction. Returns the columns (g_av, theta_tilde_av, held_g_av,
+    error, fired), indexed by k, with the post-fire hold and the pre-fire
+    error as in run_loop; row 0 never fires here either.
     """
     root_sigma = sqrt(sigma)
     rho0 = 1.0 - c_g
@@ -88,15 +77,11 @@ def avg_loop(h_star, c_g, sigma, alpha, theta_tilde0, n_iters):
     held = g
     columns = (array("d"), array("d"), array("d"), array("d"), array("b"))
     add_g, add_tt, add_held, add_e, add_fired = (col.append for col in columns)
-    events = (array("q", [0]), array("d", [g]))
-    add_event_k, add_event_g = (col.append for col in events)
     for k in range(n_iters):
         e = held - g
         fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
         if fired:
             held = g
-            add_event_k(k)
-            add_event_g(g)
             e_post = 0.0
         else:
             e_post = e
@@ -106,4 +91,4 @@ def avg_loop(h_star, c_g, sigma, alpha, theta_tilde0, n_iters):
         add_e(e)
         add_fired(fired)
         g = rho0 * g - c_g * e_post
-    return columns, events
+    return columns

@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Iterable, Sequence, Union
 
 from etseek.average import AvgTrajectory
-from etseek.escore import EventEntry, EventLog, LoopSpec, MapSpec, Trajectory
+from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
 from etseek.trigger import TriggerSpec, contraction_increment
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "DecayReport",
     "EnvelopeCheck",
     "EnvelopeReport",
-    "EventEntry",
-    "EventLog",
     "EventStats",
     "ExpansionTerms",
     "check_decay",

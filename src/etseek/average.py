@@ -66,13 +66,10 @@ class AvgColumns(NamedTuple):
 
 @dataclass(frozen=True)
 class AvgTrajectory:
-    """Per-iteration columns of the averaged loop, its events and specs."""
+    """Per-iteration columns of the averaged loop and its events."""
 
     columns: AvgColumns
     events: EventLog
-    map_spec: MapSpec
-    loop_spec: LoopSpec
-    trigger_spec: _trigger.TriggerSpec
 
     def __post_init__(self):
         check_columns("AvgTrajectory", self.columns)
@@ -203,13 +200,13 @@ def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """Run the averaged loop n_iters iterations from k = 0.
 
     Seeds g_av[0] = h_star * theta_tilde0 and makes the origin a triggering
-    instant, mirroring the true loop's initialization. Deterministic.
+    instant, mirroring the true loop's initialization. Deterministic. The
+    events are read off the g_av and triggered columns, as in escore.run.
     """
     if n_iters < 1:
         raise ValueError("avg_run requires n_iters >= 1")
-    columns, event_columns = _kernel.avg_loop(
+    columns = AvgColumns(*_kernel.avg_loop(
         map_spec.h_star, _trigger.contraction_increment(map_spec, loop),
-        trig.sigma, trig.alpha, theta_tilde0, n_iters)
-    return AvgTrajectory(columns=AvgColumns(*columns),
-                         events=event_log(loop, event_columns, n_iters),
-                         map_spec=map_spec, loop_spec=loop, trigger_spec=trig)
+        trig.sigma, trig.alpha, theta_tilde0, n_iters))
+    return AvgTrajectory(columns=columns,
+                         events=event_log(loop, columns.g_av, columns.triggered))

@@ -106,9 +106,11 @@ def parse_config(text: str) -> ExperimentConfig:
     Rejects unknown sections and keys, lists every missing required key at
     once, and names the offending key and constraint for bad values.
     """
+    # default_section="" makes [DEFAULT] a plain, unknown section: no header
+    # can name the empty section, so no keys are copied into every section
     parser = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",),
-        interpolation=None)
+        interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -221,10 +223,11 @@ def _write_true_loop(trajectory_path: Path, events_path: Path,
     """Write trajectory.csv and events.csv, one block of _BLOCK_ROWS rows at a time.
 
     Event l happened at iteration k_l = log.ks[l] (the k = 0 seed event and
-    every fired row), and the kernel held that row's gradient and control
-    from then on. So its g_hat_held and u_held cells are the g_hat and u
-    text of trajectory row k_l, taken from the block that holds the row; no
-    float is formatted twice.
+    every fired row), and escore.event_log took its gradient from that row,
+    where the kernel held that gradient and its control from then on. So its
+    g_hat_held and u_held cells are the g_hat and u text of trajectory row
+    k_l, taken from the block that holds the row; no float is formatted
+    twice.
     """
     cols, ks = traj.columns, log.ks
     with open(events_path, "w", newline="") as events_fh, \

@@ -13,7 +13,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import count, islice, repeat
+from itertools import compress, count, islice, repeat
 from typing import NamedTuple
 
 from etseek import _kernel
@@ -175,12 +175,9 @@ def check_columns(owner: str, columns) -> None:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-iteration columns plus the specs that produced them."""
+    """Per-iteration columns of the true loop."""
 
     columns: StepColumns
-    map_spec: MapSpec
-    loop_spec: LoopSpec
-    trigger_spec: _trigger.TriggerSpec
 
     def __post_init__(self):
         check_columns("Trajectory", self.columns)
@@ -212,9 +209,11 @@ class EventLog:
 
     Event l happened at iteration ks[l] and held gradients[l] from then on,
     so the held control was -gain_k * gradients[l]. entries builds the
-    matching EventEntry rows only when they are read. For a true-loop run
-    both values are the trajectory's own gradient and control at row ks[l],
-    which is how the CLI writes events.csv without formatting them again.
+    matching EventEntry rows only when they are read. A run's log comes
+    from event_log, which takes gradients[l] from the gradient column at
+    row ks[l], so for either loop it is the very float of that row; for the
+    true loop -gain_k times it is the control there too, which is how the
+    CLI writes events.csv without formatting them again.
     """
 
     ks: array
@@ -318,21 +317,29 @@ def run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
 
     Deterministic: identical inputs give bit-identical trajectories. The
     stepping itself runs in etseek._kernel; step() composes the same
-    operations one iteration at a time and agrees exactly.
+    operations one iteration at a time and agrees exactly. The event log
+    is read off the trajectory's gradient and triggered columns.
     """
     if n_iters < 1:
         raise ValueError("run requires n_iters >= 1")
-    columns, event_columns = _kernel.run_loop(
+    columns = StepColumns(*_kernel.run_loop(
         map_spec.q_star, map_spec.h_star, map_spec.theta_star,
         loop.amplitude_a, loop.omega, loop.epsilon, loop.gain_k,
-        trig.sigma, trig.alpha, theta_hat0, n_iters)
-    trajectory = Trajectory(columns=StepColumns(*columns), map_spec=map_spec,
-                            loop_spec=loop, trigger_spec=trig)
-    return trajectory, event_log(loop, event_columns, n_iters)
+        trig.sigma, trig.alpha, theta_hat0, n_iters))
+    return (Trajectory(columns=columns),
+            event_log(loop, columns.gradient, columns.triggered))
 
 
-def event_log(loop: LoopSpec, event_columns, horizon: int) -> EventLog:
-    """EventLog over a kernel's (ks, gradients) event columns, kept as they are."""
-    ks, gradients = event_columns
+def event_log(loop: LoopSpec, gradient: array, fired: array) -> EventLog:
+    """EventLog of a run from its gradient and fired columns.
+
+    The origin seeds the hold at k = 0, and every row whose fired flag is
+    set is an event that holds that row's gradient. Row 0 itself never
+    fires, because its error is 0.0 or NaN, so it is logged once.
+    """
+    ks = array("q", [0])
+    ks.extend(compress(range(len(fired)), fired))
+    gradients = array("d", gradient[:1])
+    gradients.extend(compress(gradient, fired))
     return EventLog(ks=ks, gradients=gradients, gain_k=loop.gain_k,
-                    horizon=horizon, epsilon=loop.epsilon)
+                    horizon=len(fired), epsilon=loop.epsilon)

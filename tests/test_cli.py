@@ -98,6 +98,11 @@ def test_unknown_keys_and_sections_rejected():
         parse_config(MINIMAL.replace("[loop]", "bogus = 1\n[loop]"))
     with pytest.raises(ConfigError, match="unknown keys: extras"):
         parse_config(MINIMAL + "[extras]\nfoo = 1\n")
+    # [DEFAULT] is a section like any other: its keys are not copied into
+    # every section, and an empty one is not accepted silently
+    for default in ("[DEFAULT]\nalpha = 0.9\n", "[DEFAULT]\n"):
+        with pytest.raises(ConfigError, match="^unknown keys: DEFAULT$"):
+            parse_config(default + MINIMAL)
 
 
 def test_invariant_violations_name_key_and_constraint():

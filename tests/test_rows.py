@@ -2,9 +2,10 @@
 
 Trajectory and AvgTrajectory hold one column per recorded value; records is
 a read-only sequence that builds a StepRecord or AvgRecord only for the row
-asked for. EventLog holds the (ks, gradients) event columns; entries builds
-an EventEntry the same way. These tests pin the sequence behaviour the old
-tuples of records and entries had, and the column invariants.
+asked for. EventLog holds the (ks, gradients) event columns, which
+escore.event_log reads off a run's gradient and fired columns; entries
+builds an EventEntry the same way. These tests pin the sequence behaviour
+the old tuples of records and entries had, and the column invariants.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 
 from etseek import (AvgRecord, AvgTrajectory, EventEntry, EventLog, StepRecord,
                     Trajectory, avg_run, run)
+from etseek.escore import event_log
 from helpers import REFERENCE_THETA_HAT0, reference_specs
 
 
@@ -79,14 +81,12 @@ def test_trajectories_reject_columns_of_unequal_length():
     traj = _true_run(20)
     cols = traj.columns
     with pytest.raises(ValueError, match="Trajectory columns must have equal lengths"):
-        Trajectory(columns=cols._replace(y=cols.y[:-1]), map_spec=traj.map_spec,
-                   loop_spec=traj.loop_spec, trigger_spec=traj.trigger_spec)
+        Trajectory(columns=cols._replace(y=cols.y[:-1]))
     avg = _avg_run(20)
     acols = avg.columns
     with pytest.raises(ValueError, match="AvgTrajectory columns must have equal lengths"):
         AvgTrajectory(columns=acols._replace(triggered=acols.triggered[1:]),
-                      events=avg.events, map_spec=avg.map_spec,
-                      loop_spec=avg.loop_spec, trigger_spec=avg.trigger_spec)
+                      events=avg.events)
 
 
 def _event_log(ks, gradients=None, gain_k=-240.0):
@@ -141,6 +141,38 @@ def test_event_logs_of_identical_runs_compare_equal():
         row = traj.records[entry.k]
         assert (entry.gradient, entry.control) == (row.gradient, row.control)
 
+
+def _derived_log(gradient, fired):
+    return event_log(reference_specs()[1], array("d", gradient),
+                     array("b", fired))
+
+
+def test_event_log_is_the_seed_then_every_fired_row():
+    loop = reference_specs()[1]
+    log = _derived_log([1.5, 2.0, -3.0], [0, 0, 0])
+    assert (list(log.ks), list(log.gradients), log.horizon) == ([0], [1.5], 3)
+    # a fire on the last row is logged, each event holding its own row's value
+    log = _derived_log([1.5, 2.0, -3.0, 4.0, 5.0], [0, 1, 0, 0, 1])
+    assert list(log.ks) == [0, 1, 4]
+    assert list(log.gradients) == [1.5, 2.0, 5.0]
+    assert (log.ks.typecode, log.gradients.typecode) == ("q", "d")
+    assert (log.horizon, log.gain_k, log.epsilon) == (5, loop.gain_k, loop.epsilon)
+    assert _derived_log([7.0], [0]).horizon == 1
+    # row 0 seeds the hold and cannot fire; a column claiming it did would
+    # log k = 0 twice, which EventLog refuses
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _derived_log([1.0, 2.0], [1, 0])
+
+
+def test_event_log_keeps_the_bits_of_the_gradient_cells():
+    negative_nan = -math.nan
+    assert math.copysign(1.0, negative_nan) == -1.0
+    gradient = array("d", [-0.0, 1.0, math.nan, 0.0, negative_nan])
+    log = _derived_log(gradient, [0, 0, 1, 0, 1])
+    assert list(log.ks) == [0, 2, 4]
+    assert log.gradients.tobytes() == (
+        gradient[0:1] + gradient[2:3] + gradient[4:5]).tobytes()
+    assert math.copysign(1.0, log.gradients[0]) == -1.0
 
 
 def _with_cell(traj, name, k, value):
