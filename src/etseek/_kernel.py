@@ -1,9 +1,11 @@
 """Stepping kernels: the hot loops behind escore.run and average.avg_run.
 
 escore.step and average.avg_step are the readable definition of one
-iteration; these loops inline the same operations in the same order, and
-tests/test_kernels.py holds them to that composition bit for bit. Keep the
-operation order and expressions as they are: golden files depend on it.
+iteration: each returns (state, record), the record being row k of the
+matching loop here. These loops inline the same operations in the same
+order, and tests/test_kernels.py holds each loop's rows and events to those
+composed from the step's records, bit for bit. Keep the operation order and
+expressions as they are: golden files depend on it.
 
 Both kernels return columns, not rows: a tuple of per-step columns, one
 array('d') per value and an array('b') of fired flags last, in the field

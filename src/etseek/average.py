@@ -28,11 +28,6 @@ class AvgState:
     k: int
     g_av: float
     held_g_av: float
-    last_event_k: int
-
-    def __post_init__(self):
-        if self.last_event_k > self.k:
-            raise ValueError("AvgState.last_event_k must not exceed k")
 
 
 @dataclass(frozen=True)
@@ -97,12 +92,13 @@ class ZenoEstimate:
 
 
 def avg_step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
-             state: AvgState) -> AvgState:
+             state: AvgState) -> tuple[AvgState, AvgRecord]:
     """Advance the averaged loop one iteration.
 
     Same ordering contract as the true loop: the trigger sees the pre-fire
     error, the state update uses the post-fire one. Only g_av is updated:
     the parameter error is g_av / h_star, with nothing to keep in step.
+    The returned record is row state.k of avg_run's columns.
     """
     c_g = _trigger.contraction_increment(map_spec, loop)
     rho0 = 1.0 - c_g
@@ -110,18 +106,19 @@ def avg_step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     fired = _trigger.should_trigger(trig, state.g_av, e)
     if fired:
         held = state.g_av
-        last_event = state.k
         e_post = 0.0
     else:
         held = state.held_g_av
-        last_event = state.last_event_k
         e_post = e
-    return AvgState(
+    next_state = AvgState(
         k=state.k + 1,
         g_av=rho0 * state.g_av - c_g * e_post,
         held_g_av=held,
-        last_event_k=last_event,
     )
+    record = AvgRecord(k=state.k, g_av=state.g_av,
+                       theta_tilde_av=state.g_av / map_spec.h_star,
+                       held_g_av=held, error=e, triggered=fired)
+    return next_state, record
 
 
 def closed_form_between_events(map_spec: MapSpec, loop: LoopSpec,

@@ -4,7 +4,7 @@ Configs are flat INI files with # comments and four sections: [map], [loop],
 [trigger], [run]. Every run writes CSVs plus a plain-text report into its own
 output directory; outputs are byte-deterministic for identical configs so
 directories can be diffed or frozen as goldens. Data files are written in
-blocks of 256 rows; a column's block repeating one value is formatted once.
+blocks of 256 rows, each cell the repr of its float.
 The report is rendered by one function from the run's RunResult.
 """
 
@@ -117,7 +117,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
 
     sections = {key.split(".")[0] for key in _FIELDS}
-    unknown = [s for s in parser.sections() if s not in sections]
+    # a section name that is blank or has surrounding blanks is shown quoted
+    unknown = [s if s == s.strip() else repr(s)
+               for s in parser.sections() if s not in sections]
     values = {f"{section}.{key}": raw
               for section in parser.sections() if section in sections
               for key, raw in parser[section].items()}
@@ -192,18 +194,6 @@ _BLOCK_ROWS = 256
 _G_HAT, _U = map(escore.StepColumns._fields.index, ("gradient", "control"))
 
 
-def _float_text(block):
-    """repr of each value of a non-empty array('d') block.
-
-    A block that repeats its first value's bits, as the averaged loop's
-    columns do once it settles, is formatted once. Bits, not ==: -0.0 == 0.0
-    but their text differs, and a repeated nan has one text.
-    """
-    if block[:1].tobytes() * len(block) == block.tobytes():
-        return [repr(block[0])] * len(block)
-    return list(map(repr, block))
-
-
 def _csv_blocks(floats, flags):
     """Rows k,floats...,flag of a data file, _BLOCK_ROWS rows at a time.
 
@@ -213,7 +203,7 @@ def _csv_blocks(floats, flags):
     for i in range(0, n, _BLOCK_ROWS):
         j = min(i + _BLOCK_ROWS, n)
         k_text = list(map(str, range(i, j)))
-        text = [_float_text(col[i:j]) for col in floats]
+        text = [list(map(repr, col[i:j])) for col in floats]
         yield i, k_text, text, "\n".join(map(",".join, zip(
             k_text, *text, map(_FLAGS.__getitem__, flags[i:j])))) + "\n"
 

@@ -77,11 +77,6 @@ class SimState:
     k: int
     theta_hat: float
     held_gradient: float
-    last_event_k: int
-
-    def __post_init__(self):
-        if self.last_event_k > self.k:
-            raise ValueError("SimState.last_event_k must not exceed k")
 
 
 @dataclass(frozen=True)
@@ -274,7 +269,7 @@ def initial_state(map_spec: MapSpec, loop: LoopSpec, theta_hat0: float) -> SimSt
     """
     y0 = eval_map(map_spec, theta_hat0 + dither(loop, 0))
     g0 = demodulate(loop, 0, y0)
-    return SimState(k=0, theta_hat=theta_hat0, held_gradient=g0, last_event_k=0)
+    return SimState(k=0, theta_hat=theta_hat0, held_gradient=g0)
 
 
 def step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
@@ -295,16 +290,13 @@ def step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     fired = _trigger.should_trigger(trig, g, e)
     if fired:
         held_g = g
-        last_event = k
     else:
         held_g = state.held_gradient
-        last_event = state.last_event_k
     held_u = -loop.gain_k * held_g
     next_state = SimState(
         k=k + 1,
         theta_hat=integrate(loop, state.theta_hat, held_u),
         held_gradient=held_g,
-        last_event_k=last_event,
     )
     record = StepRecord(k=k, theta_hat=state.theta_hat, theta=theta, y=y,
                         gradient=g, error=e, control=held_u, triggered=fired)

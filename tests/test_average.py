@@ -23,7 +23,7 @@ from helpers import draw_specs, reference_specs
 
 def _event_state(g):
     # state right at a triggering instant: hold equals the current value
-    return AvgState(k=0, g_av=g, held_g_av=g, last_event_k=0)
+    return AvgState(k=0, g_av=g, held_g_av=g)
 
 
 def _bits(x):
@@ -39,20 +39,43 @@ def test_contraction_increment_matches_assumption_report():
 
 
 def test_avg_step_contracts_at_event_instant():
+    # the hold equals the current value: the record shows a zero error, no
+    # fire and the hold kept
     map_spec, loop, trig = reference_specs()
     c_g = contraction_increment(map_spec, loop)
     for g in (1.75, -0.3, 1e-9):
-        nxt = avg_step(map_spec, loop, trig, _event_state(g))
+        nxt, rec = avg_step(map_spec, loop, trig, _event_state(g))
         assert nxt.g_av == (1.0 - c_g) * g
         assert nxt.g_av == pytest.approx(0.8488 * g, rel=1e-12)
         assert nxt.k == 1
         assert nxt.held_g_av == g
+        assert (rec.k, rec.g_av, rec.theta_tilde_av) == (
+            0, g, g / map_spec.h_star)
+        assert rec.triggered is False
+        assert rec.error == 0.0
+        assert rec.held_g_av == rec.g_av
+
+
+def test_avg_step_record_of_a_fire():
+    # the hold is far from the current value: the trigger fires, the record
+    # keeps the pre-fire error and the refreshed hold, and the update then
+    # runs with a zero error
+    map_spec, loop, trig = reference_specs()
+    c_g = contraction_increment(map_spec, loop)
+    state = AvgState(k=5, g_av=0.25, held_g_av=1.0)
+    nxt, rec = avg_step(map_spec, loop, trig, state)
+    assert rec.k == 5
+    assert rec.triggered is True
+    assert rec.held_g_av == state.g_av
+    assert rec.error == state.held_g_av - state.g_av
+    assert nxt == AvgState(k=6, g_av=(1.0 - c_g) * state.g_av,
+                           held_g_av=state.g_av)
 
 
 def test_avg_step_origin_is_fixed_point():
     map_spec, loop, trig = reference_specs()
-    state = AvgState(k=0, g_av=0.0, held_g_av=0.0, last_event_k=0)
-    nxt = avg_step(map_spec, loop, trig, state)
+    state = AvgState(k=0, g_av=0.0, held_g_av=0.0)
+    nxt, _ = avg_step(map_spec, loop, trig, state)
     assert nxt.g_av == 0.0
     assert nxt.held_g_av == 0.0
 
@@ -60,8 +83,8 @@ def test_avg_step_origin_is_fixed_point():
 def test_avg_step_two_iterations_by_hand():
     map_spec, loop, trig = reference_specs()
     state = _event_state(1.0)
-    state = avg_step(map_spec, loop, trig, state)
-    state = avg_step(map_spec, loop, trig, state)
+    state, _ = avg_step(map_spec, loop, trig, state)
+    state, _ = avg_step(map_spec, loop, trig, state)
     assert state.g_av == pytest.approx(0.6976, abs=1e-15)
     assert state.held_g_av - state.g_av == pytest.approx(0.3024, abs=1e-15)
 
@@ -77,11 +100,11 @@ def test_avg_step_keeps_proportionality():
         factor = rng.choice([-1.0, 0.5, -4.0, 1024.0])
         state, scaled = _event_state(g), _event_state(factor * g)
         for _ in range(20):
-            state = avg_step(map_spec, loop, trig, state)
-            scaled = avg_step(map_spec, loop, trig, scaled)
+            state, rec = avg_step(map_spec, loop, trig, state)
+            scaled, scaled_rec = avg_step(map_spec, loop, trig, scaled)
             assert scaled.g_av == factor * state.g_av
             assert scaled.held_g_av == factor * state.held_g_av
-            assert scaled.last_event_k == state.last_event_k
+            assert scaled_rec.triggered == rec.triggered
 
 
 def test_closed_form_examples():
@@ -108,7 +131,7 @@ def test_closed_form_matches_stepping():
     map_spec, loop, trig = reference_specs()
     state = _event_state(1.0)
     for n in range(1, 4):  # stretch before the first refire
-        state = avg_step(map_spec, loop, trig, state)
+        state, _ = avg_step(map_spec, loop, trig, state)
         g_av, e_av = closed_form_between_events(map_spec, loop, 1.0, n)
         assert state.g_av == pytest.approx(g_av, rel=1e-13)
         assert state.held_g_av - state.g_av == pytest.approx(e_av, rel=1e-13)
@@ -262,11 +285,6 @@ def test_min_gap_estimate_refuses_what_rounding_decides():
 def test_zeno_estimate_invariant():
     with pytest.raises(ValueError, match="k_star must be >= 1"):
         ZenoEstimate(k_star=0)
-
-
-def test_avg_state_invariant():
-    with pytest.raises(ValueError, match="last_event_k"):
-        AvgState(k=2, g_av=0.0, held_g_av=0.0, last_event_k=5)
 
 
 def test_avg_run_zero_start_stays_zero():

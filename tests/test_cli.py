@@ -25,7 +25,7 @@ from etseek import (
 )
 from etseek import cli
 from etseek.cli import (_BLOCK_ROWS, _REFERENCE_PARAMS, MODES, ConfigError,
-                        _float_text, main, parse_config, run_experiment,
+                        _csv_blocks, main, parse_config, run_experiment,
                         sweep)
 from helpers import (
     REFERENCE_CFG,
@@ -35,6 +35,14 @@ from helpers import (
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "reference"
+
+
+def _src_env():
+    """The environment with PYTHONPATH naming this tree's src, so a
+    subprocess imports the etseek under test."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": str(src)}
+
 
 MINIMAL = """\
 [map]
@@ -103,6 +111,18 @@ def test_unknown_keys_and_sections_rejected():
     for default in ("[DEFAULT]\nalpha = 0.9\n", "[DEFAULT]\n"):
         with pytest.raises(ConfigError, match="^unknown keys: DEFAULT$"):
             parse_config(default + MINIMAL)
+
+
+def test_blank_section_names_are_shown_quoted():
+    # a blank header, or one with surrounding blanks, names its section by
+    # repr: otherwise the message would show nothing, or a name that looks
+    # like a known one
+    reference = REFERENCE_CFG.read_text()
+    for header, shown in (("[ ]", "' '"), ("[  ]", "'  '"),
+                          ("[map ]", "'map '")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{reference}{header}\nx = 1\n")
+        assert str(err.value) == "unknown keys: " + shown
 
 
 def test_invariant_violations_name_key_and_constraint():
@@ -519,7 +539,7 @@ def test_module_entry_point():
     out = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "etseek.cli",
          "check", "--config", str(REFERENCE_CFG)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_src_env())
     assert out.returncode == 0, out.stderr
     assert "rho0 = 0.8488" in out.stdout
 
@@ -527,13 +547,11 @@ def test_module_entry_point():
 def test_import_etseek_leaves_the_cli_unloaded():
     # the package promises that import etseek does not load etseek.cli, and
     # the benchmark's set-up time counts on that
-    src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, etseek; print(*sorted(m for m in "
          "('etseek.cli', 'argparse', 'configparser') if m in sys.modules))"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        capture_output=True, text=True, env=_src_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout == "\n"
 
@@ -546,7 +564,7 @@ def test_module_run_under_warnings_as_errors(tmp_path):
     out = subprocess.run(
         [sys.executable, "-W", "error", "-m", "etseek.cli", "run",
          "--config", str(REFERENCE_CFG), "--out", str(out_dir)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_src_env())
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
     for name in ("trajectory.csv", "events.csv", "avg_trajectory.csv",
@@ -705,17 +723,19 @@ def test_run_experiment_builds_no_event_entries(tmp_path, monkeypatch):
     assert built == [1]
 
 
-def test_float_text_formats_a_block_once_only_for_repeated_bits():
-    # -0.0 == 0.0 and nan != nan: only a bitwise repeat may share one text
+def test_csv_blocks_write_every_cell_as_its_repr():
+    # -0.0 == 0.0 and nan != nan: each cell is the repr of its own float,
+    # in mixed blocks and in blocks that repeat one value alike
     nan, inf = float("nan"), float("inf")
     mixed = [0.0, -0.0, -0.0, 0.0, nan, nan, inf, inf, -inf, 5e-324, 5e-324]
-    for values, uniform in ((mixed, False), ([-0.0] * 5, True),
-                            ([nan] * 3, True), ([inf] * 4, True),
-                            ([0.0, -0.0, 0.0], False), ([-inf, inf], False),
-                            ([5e-324], True)):
-        cells = _float_text(array("d", values))
-        assert cells == [repr(v) for v in values]
-        assert all(cell is cells[0] for cell in cells) == uniform, values
+    for values in (mixed, [-0.0] * 5, [nan] * 3, [inf] * 4, [0.0, -0.0, 0.0],
+                   [-inf, inf], [5e-324]):
+        flags = array("b", [k % 2 for k in range(len(values))])
+        (i, k_text, text, lines), = _csv_blocks([array("d", values)], flags)
+        assert (i, k_text) == (0, [str(k) for k in range(len(values))])
+        assert text == [[repr(v) for v in values]]
+        assert lines == "".join(f"{k},{v!r},{k % 2}\n"
+                                for k, v in enumerate(values))
 
 
 def _counting_fork(monkeypatch):
@@ -864,7 +884,7 @@ def test_true_loop_blocks_match_the_csv_writer_oracle(tmp_path):
 
     # the reference averaged loop settles from row 3205 on (g_av on one
     # subnormal, e_av on 0.0 a row later): block 12 is mixed and blocks 13
-    # to 15 repeat one value in every column, so they are formatted once
+    # to 15 repeat one value in every column
     entry = replace(parse_config(REFERENCE_CFG.read_text()), n_iters=4000,
                     mode="average", out_dir=str(tmp_path / "settled"))
     result = run_experiment(entry)

@@ -98,7 +98,6 @@ def test_initial_state_seeds_hold_from_origin():
     state = initial_state(map_spec, loop, REFERENCE_THETA_HAT0)
     g0 = demodulate(loop, 0, eval_map(map_spec, REFERENCE_THETA_HAT0))
     assert state.k == 0
-    assert state.last_event_k == 0
     assert state.held_gradient == g0
     assert step(map_spec, loop, trig, state)[1].control == -loop.gain_k * g0
 
@@ -117,8 +116,7 @@ def test_first_step_has_zero_error_and_no_fire():
 
 def test_step_composes_the_documented_operations():
     map_spec, loop, trig = reference_specs()
-    state = escore.SimState(k=7, theta_hat=1.3, held_gradient=0.02,
-                            last_event_k=3)
+    state = escore.SimState(k=7, theta_hat=1.3, held_gradient=0.02)
     nxt, rec = step(map_spec, loop, trig, state)
     theta = state.theta_hat + dither(loop, 7)
     y = eval_map(map_spec, theta)
