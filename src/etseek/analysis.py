@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from etseek.average import AvgTrajectory
 from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
@@ -166,28 +166,29 @@ def check_decay(v_sequence: Sequence[float], map_spec: MapSpec,
                        max_excess=check.max_excess)
 
 
-def _powers(rho: float, exponents) -> list[float]:
-    """rho ** x for each x in order, stopping before the first that overflows.
+def _powers(rho: float, exponents) -> Iterator[float]:
+    """rho ** x for each x in order, ending before the first that overflows.
 
     Only rho > 1 overflows, and then every later power does too. The
     envelope bound is inf from there on and no row can exceed it, so the
-    rows past the end of the returned powers need no check.
+    rows past the last power yielded need no check.
     """
-    powers = []
     try:
         for x in exponents:
-            powers.append(rho ** x)
+            yield rho ** x
     except OverflowError:
-        pass
-    return powers
+        return
 
 
 def _check_envelope(name, excesses) -> EnvelopeCheck:
-    """Verdict from each row's signed excess over its bound, in order of k."""
+    """Verdict from each row's signed excess over its bound, in order of k.
+
+    A NaN excess is a violation too; it leaves max_excess as it is.
+    """
     first = None
     worst = 0.0
     for k, excess in enumerate(excesses):
-        if excess > 0.0:
+        if not excess <= 0.0:
             if first is None:
                 first = k
             if excess > worst:
@@ -209,13 +210,15 @@ def convergence_envelopes(traj: Union[Trajectory, AvgTrajectory],
     leaves symbolic: the input envelope carries it additively and the output
     envelope its square. A bound whose power of rho overflows reads inf.
     """
-    if offset_constant < 0:
-        raise ValueError("convergence_envelopes requires offset_constant >= 0")
+    if not 0 <= offset_constant < math.inf:
+        raise ValueError(
+            "convergence_envelopes requires a finite offset_constant >= 0")
     rho = decay_rate(map_spec, loop, trig)
     n = len(traj)
-    half_powers = _powers(rho, (0.5 * k for k in range(n)))
     cols = traj.columns
     if isinstance(traj, AvgTrajectory):
+        # both checks read the same powers: computing them once is faster
+        half_powers = list(_powers(rho, (0.5 * k for k in range(n))))
         g0 = abs(cols.g_av[0])
         t0 = abs(cols.theta_tilde_av[0])
         checks = (
@@ -235,7 +238,8 @@ def convergence_envelopes(traj: Union[Trajectory, AvgTrajectory],
         checks = (
             _check_envelope("theta", (
                 abs(theta - theta_star) - (p * th0 + offset_constant)
-                for theta, p in zip(cols.theta, half_powers))),
+                for theta, p in zip(cols.theta,
+                                    _powers(rho, (0.5 * k for k in range(n)))))),
             _check_envelope("y", (
                 abs(y - q_star) - (2.0 * p * y0 + off2)
                 for y, p in zip(cols.y, _powers(rho, range(n))))),

@@ -4,7 +4,8 @@ Averaging the dither out of the true loop leaves a scalar linear recursion
 for the averaged gradient estimate, driven by the held-versus-current error.
 Between events the recursion telescopes to a closed form, and where that
 form first meets the triggering bound is the smallest guaranteed spacing of
-triggering instants.
+triggering instants. avg_step defines one iteration readably; avg_run steps
+the same iteration inline, n_iters times, into the trajectory's columns.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from etseek import _kernel
 from etseek import trigger as _trigger
 from etseek.escore import (EventLog, LoopSpec, MapSpec, RowView, check_columns,
                            event_log, eq_by_bits, trajectory_row)
@@ -198,12 +198,37 @@ def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
 
     Seeds g_av[0] = h_star * theta_tilde0 and makes the origin a triggering
     instant, mirroring the true loop's initialization. Deterministic. The
-    events are read off the g_av and triggered columns, as in escore.run.
+    loop inlines avg_step() on local floats, and tests/test_kernels.py holds
+    its rows and events to those composed from avg_step()'s records, bit for
+    bit. Keep its expressions and their order as they are: golden files
+    depend on them. As in escore.run, row 0 never fires, and the events are
+    read off the g_av and triggered columns.
     """
     if n_iters < 1:
         raise ValueError("avg_run requires n_iters >= 1")
-    columns = AvgColumns(*_kernel.avg_loop(
-        map_spec.h_star, _trigger.contraction_increment(map_spec, loop),
-        trig.sigma, trig.alpha, theta_tilde0, n_iters))
+    h_star = map_spec.h_star
+    c_g = _trigger.contraction_increment(map_spec, loop)
+    alpha = trig.alpha
+    root_sigma = math.sqrt(trig.sigma)
+    rho0 = 1.0 - c_g
+    g = h_star * theta_tilde0
+    held = g
+    columns = AvgColumns(array("d"), array("d"), array("d"), array("d"),
+                         array("b"))
+    add_g, add_tt, add_held, add_e, add_fired = (col.append for col in columns)
+    for _ in range(n_iters):
+        e = held - g
+        fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
+        if fired:
+            held = g
+            e_post = 0.0
+        else:
+            e_post = e
+        add_g(g)
+        add_tt(g / h_star)
+        add_held(held)
+        add_e(e)
+        add_fired(fired)
+        g = rho0 * g - c_g * e_post
     return AvgTrajectory(columns=columns,
                          events=event_log(loop, columns.g_av, columns.triggered))

@@ -4,6 +4,8 @@ The loop seeks the extremum of an unknown quadratic map by perturbing the
 input estimate with a sinusoid, demodulating the measured output into a
 gradient estimate, and integrating a gain times the gradient held from the
 last triggering instant. The trigger module decides when the hold refreshes.
+step defines one iteration readably; run steps the same iteration inline,
+n_iters times, into the trajectory's columns.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, fields
 from itertools import compress, count, islice, repeat
 from typing import NamedTuple
 
-from etseek import _kernel
 from etseek import trigger as _trigger
 
 
@@ -308,16 +309,50 @@ def run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """Run the closed loop for n_iters iterations from k = 0.
 
     Deterministic: identical inputs give bit-identical trajectories. The
-    stepping itself runs in etseek._kernel; step() composes the same
-    operations one iteration at a time and agrees exactly. The event log
-    is read off the trajectory's gradient and triggered columns.
+    loop inlines step() on local floats, and tests/test_kernels.py holds its
+    rows and events to those composed from step()'s records, bit for bit.
+    Keep its expressions and their order as they are: golden files depend
+    on them. Row 0 seeds the hold and so never fires: its error is 0.0, or
+    NaN from a non-finite gradient. The event log is read off the
+    trajectory's gradient and triggered columns.
     """
     if n_iters < 1:
         raise ValueError("run requires n_iters >= 1")
-    columns = StepColumns(*_kernel.run_loop(
-        map_spec.q_star, map_spec.h_star, map_spec.theta_star,
-        loop.amplitude_a, loop.omega, loop.epsilon, loop.gain_k,
-        trig.sigma, trig.alpha, theta_hat0, n_iters))
+    q_star, h_star, theta_star = map_spec.q_star, map_spec.h_star, map_spec.theta_star
+    a, epsilon, gain_k = loop.amplitude_a, loop.epsilon, loop.gain_k
+    alpha = trig.alpha
+    we = loop.omega * epsilon
+    root_sigma = math.sqrt(trig.sigma)
+    sin = math.sin
+    th = theta_hat0
+    held = 0.0
+    columns = StepColumns(array("d"), array("d"), array("d"), array("d"),
+                          array("d"), array("d"), array("b"))
+    add_th, add_theta, add_y, add_g, add_e, add_u, add_fired = (
+        col.append for col in columns)
+    for k in range(n_iters):
+        s = a * sin(we * k)
+        theta = th + s
+        d = theta - theta_star
+        y = q_star + 0.5 * h_star * (d * d)
+        g = s * y
+        if k == 0:
+            # the origin is a triggering instant: it seeds the hold, and the
+            # error below is then exactly zero
+            held = g
+        e = held - g
+        fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
+        if fired:
+            held = g
+        u = -gain_k * held
+        add_th(th)
+        add_theta(theta)
+        add_y(y)
+        add_g(g)
+        add_e(e)
+        add_u(u)
+        add_fired(fired)
+        th = th + epsilon * u
     return (Trajectory(columns=columns),
             event_log(loop, columns.gradient, columns.triggered))
 

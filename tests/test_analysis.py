@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from array import array
 from dataclasses import replace
 
@@ -155,6 +156,13 @@ def test_check_decay_trivial_and_fabricated_cases():
     report = check_decay([4.0, 2.0, 1.0], map_spec, loop, trig)
     assert report.passed
 
+    # NaN compares false both ways: the pairs on either side of it fail,
+    # and the worst overshoot stays what the finite pairs gave
+    report = check_decay([4.0, 2.0, math.nan, 1.0], map_spec, loop, trig)
+    assert not report.passed
+    assert report.first_violation_k == 1
+    assert report.max_excess == 0.0
+
 
 def test_check_decay_reference_average_run():
     map_spec, loop, trig = reference_specs()
@@ -187,6 +195,39 @@ def test_envelopes_true_run_reports_the_frozen_loop():
     assert theta_check.max_excess == pytest.approx(2.3, abs=0.01)
 
 
+def test_checks_fail_on_nan_rows():
+    # theta_hat0 = 1e200 is finite, but y overflows at k = 0 and 0 * inf
+    # makes the gradient NaN: every true-loop row from then on holds NaN.
+    # The averaged loop stays finite, but its Lyapunov values overflow to
+    # inf, and inf - rho * inf is NaN.
+    map_spec, loop, trig = reference_specs()
+    traj, _ = escore.run(map_spec, loop, trig, 1e200, 1000)
+    assert all(math.isnan(g) for g in traj.columns.gradient)
+    report = convergence_envelopes(traj, map_spec, loop, trig,
+                                   offset_constant=0.3)
+    assert [(c.name, c.passed, c.first_violation_k, c.max_excess)
+            for c in report.checks] == [("theta", False, 1, 0.0),
+                                        ("y", False, 0, 0.0)]
+    avg = avg_run(map_spec, loop, trig, 1e200 - map_spec.theta_star, 1000)
+    decay = check_decay(lyapunov_sequence(avg), map_spec, loop, trig)
+    assert not decay.passed
+    assert decay.first_violation_k == 0
+
+
+def test_true_envelopes_hold_no_per_row_lists():
+    # the bounds' powers stream row by row: a list of them would take
+    # about 1.3 MB at this horizon
+    map_spec, loop, trig = reference_specs()
+    traj, _ = escore.run(map_spec, loop, trig, 0.5, 20_000)
+    tracemalloc.start()
+    try:
+        convergence_envelopes(traj, map_spec, loop, trig, offset_constant=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_envelopes_overflowing_bound_reads_inf():
     # gain sign opposite the curvature gives rho > 1; at rho ~ 3476 the power
     # rho ** (k/2) overflows a float from k = 175, and the bound reads inf
@@ -213,8 +254,10 @@ def test_envelope_bound_sequence_non_increasing():
 def test_envelopes_reject_negative_offset():
     map_spec, loop, trig = reference_specs()
     traj = avg_run(map_spec, loop, trig, -2.5, 10)
-    with pytest.raises(ValueError, match="offset_constant >= 0"):
-        convergence_envelopes(traj, map_spec, loop, trig, offset_constant=-0.1)
+    for offset in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="offset_constant >= 0"):
+            convergence_envelopes(traj, map_spec, loop, trig,
+                                  offset_constant=offset)
 
 
 def _log(ks, epsilon=0.18, horizon=1000):

@@ -450,6 +450,24 @@ def test_report_reads_back_as_the_run_result(tmp_path):
     assert decay_verdicts == envelope_verdicts == {True, False}
 
 
+def test_main_run_with_nan_rows_reports_failing_checks(tmp_path):
+    # theta_hat0 = 1e200 is a finite config value, but every true-loop row
+    # holds NaN; the run still exits 0 and its report names the failures
+    config = tmp_path / "big.cfg"
+    config.write_text(_edit(MINIMAL, "theta_hat0 = 0.5", "theta_hat0 = 1e200"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--mode", "both",
+                 "--out", str(out)]) == 0
+    with open(out / "trajectory.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 1000 and all("nan" in row for row in rows)
+    report = _read_report(out / "report.txt")
+    envelopes = report["envelopes: true loop (offset_constant = 0.3)"]
+    assert envelopes["theta"] == "FAIL first_violation_k=1 max_excess=0.0"
+    assert envelopes["y"] == "FAIL first_violation_k=0 max_excess=0.0"
+    assert report["decay: average loop"]["passed"] is False
+
+
 def test_main_mode_and_iters_overrides(tmp_path):
     out_dir = tmp_path / "short"
     assert main(["run", "--config", str(REFERENCE_CFG), "--mode", "average",

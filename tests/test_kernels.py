@@ -1,11 +1,11 @@
-"""Kernel agreement: the stepping kernels against step-by-step composition.
+"""Loop agreement: each run's inlined loop against step-by-step composition.
 
-escore.run and average.avg_run step in etseek._kernel; escore.step and
-average.avg_step are the readable definition. The two must agree bit for
-bit, not merely within tolerance: golden files and cross-machine
-reproducibility depend on identical operation order. Comparisons go through
-repr so that NaN, infinities, and signed zeros are compared by identity
-rather than IEEE equality.
+escore.run and average.avg_run each step their loop inline on local floats;
+escore.step and average.avg_step are the readable definition of one
+iteration. The two must agree bit for bit, not merely within tolerance:
+golden files and cross-machine reproducibility depend on identical
+operation order. Comparisons go through repr so that NaN, infinities, and
+signed zeros are compared by identity rather than IEEE equality.
 """
 
 import math
@@ -52,13 +52,15 @@ def _recompose_true(map_spec, loop, trig, theta0, n):
 
 
 def test_run_matches_step_composition_on_reference():
-    # the reference set never fires; gain 240 has the curvature's sign wrong
+    # the reference set never fires; gain 240 has the curvature's sign wrong;
+    # a single row is only the hold seeding
     map_spec, loop, trig = reference_specs()
-    for case_loop in (loop, replace(loop, gain_k=240.0)):
+    for case_loop, n in ((loop, 500), (replace(loop, gain_k=240.0), 500),
+                         (loop, 1)):
         traj, log = escore.run(map_spec, case_loop, trig,
-                               REFERENCE_THETA_HAT0, 500)
+                               REFERENCE_THETA_HAT0, n)
         records, events = _recompose_true(map_spec, case_loop, trig,
-                                          REFERENCE_THETA_HAT0, 500)
+                                          REFERENCE_THETA_HAT0, n)
         assert _r([(r.theta_hat, r.theta, r.y, r.gradient, r.error,
                     r.control, r.triggered) for r in traj.records]) == \
             _r([(r.theta_hat, r.theta, r.y, r.gradient, r.error, r.control,
@@ -126,9 +128,11 @@ def test_rows_match_step_composition_on_diverging_run():
 
 
 def test_avg_rows_match_avg_step_composition():
-    # rho0 > 1 (gain 240): g_av grows linearly and theta_tilde_av follows it
+    # a single row is only the hold seeding; rho0 > 1 (gain 240, last): g_av
+    # grows linearly and theta_tilde_av follows it
     map_spec, loop, trig = reference_specs()
-    cases = [(loop, trig, 200), (loop, replace(trig, alpha=2.0), 200),
+    cases = [(loop, trig, 1), (loop, trig, 200),
+             (loop, replace(trig, alpha=2.0), 200),
              (replace(loop, gain_k=240.0), trig, 6000)]
     for case_loop, case_trig, n in cases:
         traj = avg_run(map_spec, case_loop, case_trig, -2.5, n)
