@@ -25,7 +25,6 @@ from etseek.average import (
     AvgRecord,
     AvgState,
     AvgTrajectory,
-    ZenoEstimate,
     avg_run,
     avg_step,
     closed_form_between_events,
@@ -76,7 +75,6 @@ __all__ = [
     "StepRecord",
     "Trajectory",
     "TriggerSpec",
-    "ZenoEstimate",
     "avg_run",
     "avg_step",
     "check_decay",

@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from etseek.average import AvgTrajectory
 from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
@@ -44,13 +44,11 @@ DECAY_SLACK = 1e-12
 class ExpansionTerms:
     """Exact decomposition of the demodulated gradient at one iteration.
 
-    delta_h is the curvature modulation -h_star*cos(2*omega*eps*k) riding on
-    the linear term; delta_k is the parameter-free dither residue. The three
-    additive pieces (linear, quadratic, residue) sum to the demodulated
-    gradient estimate exactly, up to roundoff.
+    delta_k is the parameter-free dither residue. The three additive pieces
+    (linear, quadratic, residue) sum to the demodulated gradient estimate
+    exactly, up to roundoff.
     """
 
-    delta_h: float
     delta_k: float
     linear_term: float
     quadratic_term: float
@@ -117,13 +115,12 @@ def gradient_expansion(map_spec: MapSpec, loop: LoopSpec, k: int,
     h = map_spec.h_star
     x = loop.omega * loop.epsilon * k
     s = math.sin(x)
-    delta_h = -h * math.cos(2.0 * x)
     linear = 0.5 * a * a * h * (1.0 - math.cos(2.0 * x)) * theta_tilde
     quadratic = 0.5 * a * h * s * (theta_tilde * theta_tilde)
     residue = (a * map_spec.q_star + 0.375 * (a * a * a) * h) * s \
         - 0.125 * (a * a * a) * h * math.sin(3.0 * x)
-    return ExpansionTerms(delta_h=delta_h, delta_k=residue,
-                          linear_term=linear, quadratic_term=quadratic)
+    return ExpansionTerms(delta_k=residue, linear_term=linear,
+                          quadratic_term=quadratic)
 
 
 def truncated_gradient(map_spec: MapSpec, loop: LoopSpec, k: int,
@@ -133,11 +130,9 @@ def truncated_gradient(map_spec: MapSpec, loop: LoopSpec, k: int,
     return terms.linear_term + terms.delta_k
 
 
-def lyapunov_sequence(g_av_trajectory: Union[AvgTrajectory, Iterable[float]]) -> list[float]:
-    """Elementwise square of an averaged-gradient sequence."""
-    if isinstance(g_av_trajectory, AvgTrajectory):
-        return [g * g for g in g_av_trajectory.columns.g_av]
-    return [float(v) * float(v) for v in g_av_trajectory]
+def lyapunov_sequence(avg_traj: AvgTrajectory) -> list[float]:
+    """Elementwise square of an averaged trajectory's g_av column."""
+    return [g * g for g in avg_traj.columns.g_av]
 
 
 def decay_rate(map_spec: MapSpec, loop: LoopSpec, trig: TriggerSpec) -> float:
@@ -197,7 +192,7 @@ def _check_envelope(name, excesses) -> EnvelopeCheck:
                          first_violation_k=first, max_excess=worst)
 
 
-def convergence_envelopes(traj: Union[Trajectory, AvgTrajectory],
+def convergence_envelopes(traj: Trajectory | AvgTrajectory,
                           map_spec: MapSpec, loop: LoopSpec,
                           trig: TriggerSpec,
                           offset_constant: float = 0.0) -> EnvelopeReport:

@@ -32,16 +32,14 @@ class AvgState:
 
 @dataclass(frozen=True)
 class AvgRecord:
-    """Per-iteration view of the averaged loop.
+    """The averaged loop at one iteration: its avg_trajectory.csv row.
 
-    error is the pre-fire value and held_g_av the post-fire hold, mirroring
-    the true-loop record layout so the two trajectories compare row by row.
+    error is the pre-fire value, as in the true loop's StepRecord.
     """
 
     k: int
     g_av: float
     theta_tilde_av: float
-    held_g_av: float
     error: float
     triggered: bool
 
@@ -54,7 +52,6 @@ class AvgColumns(NamedTuple):
 
     g_av: array
     theta_tilde_av: array
-    held_g_av: array
     error: array
     triggered: array
 
@@ -78,17 +75,6 @@ class AvgTrajectory:
 
     def __len__(self) -> int:
         return len(self.columns.g_av)
-
-
-@dataclass(frozen=True)
-class ZenoEstimate:
-    """Smallest guaranteed event spacing in iterations."""
-
-    k_star: int
-
-    def __post_init__(self):
-        if self.k_star < 1:
-            raise ValueError("ZenoEstimate.k_star must be >= 1")
 
 
 def avg_step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
@@ -117,7 +103,7 @@ def avg_step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     )
     record = AvgRecord(k=state.k, g_av=state.g_av,
                        theta_tilde_av=state.g_av / map_spec.h_star,
-                       held_g_av=held, error=e, triggered=fired)
+                       error=e, triggered=fired)
     return next_state, record
 
 
@@ -137,7 +123,7 @@ def closed_form_between_events(map_spec: MapSpec, loop: LoopSpec,
 
 def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
                              trig: _trigger.TriggerSpec,
-                             g_at_event: float) -> ZenoEstimate:
+                             g_at_event: float) -> int:
     """Smallest n >= 1 at which the trigger must have fired, in closed form.
 
     At x = n*c_g the closed form has |e| = |x|*|g0| and |g| = |1 - x|*|g0|,
@@ -160,7 +146,7 @@ def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
         return alpha * abs(e) >= root_sigma * abs(g)
 
     if met(1):
-        return ZenoEstimate(k_star=1)
+        return 1
     # alpha*|x| - r*|1 - x| grows by slope per unit of |x| at its crossing
     slope = alpha + root_sigma if c_g > 0.0 else alpha - root_sigma
     first = root_sigma / slope / abs(c_g) if c_g and slope > 0.0 else math.inf
@@ -185,7 +171,7 @@ def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
         elif not at:
             n, at = n + 1, met(n + 1)
         if at and not before:
-            return ZenoEstimate(k_star=n)
+            return n
     raise RuntimeError(
         "no iteration count meets the triggering bound alpha*|e| >= "
         "sqrt(sigma)*|g|: n*c_g reaches its first crossing at n = {!r} "
@@ -213,9 +199,8 @@ def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     rho0 = 1.0 - c_g
     g = h_star * theta_tilde0
     held = g
-    columns = AvgColumns(array("d"), array("d"), array("d"), array("d"),
-                         array("b"))
-    add_g, add_tt, add_held, add_e, add_fired = (col.append for col in columns)
+    columns = AvgColumns(array("d"), array("d"), array("d"), array("b"))
+    add_g, add_tt, add_e, add_fired = (col.append for col in columns)
     for _ in range(n_iters):
         e = held - g
         fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
@@ -226,7 +211,6 @@ def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
             e_post = e
         add_g(g)
         add_tt(g / h_star)
-        add_held(held)
         add_e(e)
         add_fired(fired)
         g = rho0 * g - c_g * e_post

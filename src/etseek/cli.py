@@ -86,7 +86,6 @@ class RunResult:
     """What a run wrote and found; report.txt is rendered from it. The
     fields of a loop that the run's mode does not run are None."""
 
-    out_dir: Path
     report_path: Path
     assumption: AssumptionReport
     trajectory_path: Path | None = None
@@ -214,7 +213,7 @@ def _write_true_loop(trajectory_path: Path, events_path: Path,
 
     Event l happened at iteration k_l = log.ks[l] (the k = 0 seed event and
     every fired row), and escore.event_log took its gradient from that row,
-    where the kernel held that gradient and its control from then on. So its
+    where escore.run held that gradient and its control from then on. So its
     g_hat_held and u_held cells are the g_hat and u text of trajectory row
     k_l, taken from the block that holds the row; no float is formatted
     twice.
@@ -265,8 +264,8 @@ def _items(result, skip=()) -> list:
 
 
 def _assumption_section(report: AssumptionReport):
-    items = _items(report, skip=("alpha_bound_defined",))
-    if not report.alpha_bound_defined:
+    items = _items(report)
+    if math.isnan(report.alpha_min):
         items.append(("note", "alpha bound undefined (|rho0| >= 1)"))
     elif not report.alpha_satisfies:
         items.append(("note", "alpha is below the minimal bound; "
@@ -432,7 +431,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         halves |= wait()
 
     result = RunResult(
-        out_dir=out, report_path=out / "report.txt",
+        report_path=out / "report.txt",
         assumption=validate_assumption(config.map_spec, config.loop_spec,
                                        config.trigger_spec),
         **halves)

@@ -61,11 +61,6 @@ class LoopSpec:
         if self.gain_k == 0:
             raise ValueError("LoopSpec.gain_k must be nonzero")
 
-    @property
-    def period(self) -> float:
-        """Dither period 2*pi/omega in seconds."""
-        return 2.0 * math.pi / self.omega
-
 
 @dataclass(frozen=True)
 class SimState:
@@ -164,9 +159,12 @@ def trajectory_row(record_type, k, *values):
 
 
 def check_columns(owner: str, columns) -> None:
-    """Raise ValueError unless every column has the same length."""
-    if len({len(col) for col in columns}) > 1:
+    """Raise ValueError unless the columns have one length, and it is not 0."""
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
         raise ValueError(f"{owner} columns must have equal lengths")
+    if 0 in lengths:
+        raise ValueError(f"{owner} must have at least one row")
 
 
 @dataclass(frozen=True)
@@ -215,13 +213,12 @@ class EventLog:
     ks: array
     gradients: array
     gain_k: float
-    horizon: int
     epsilon: float
 
     def __post_init__(self):
-        check_columns("EventLog", (self.ks, self.gradients))
         if not self.ks:
             raise ValueError("EventLog must contain the initial event")
+        check_columns("EventLog", (self.ks, self.gradients))
         if self.ks[0] != 0:
             raise ValueError("EventLog must start at k = 0")
         if not all(map(operator.lt, self.ks, islice(self.ks, 1, None))):
@@ -369,4 +366,4 @@ def event_log(loop: LoopSpec, gradient: array, fired: array) -> EventLog:
     gradients = array("d", gradient[:1])
     gradients.extend(compress(gradient, fired))
     return EventLog(ks=ks, gradients=gradients, gain_k=loop.gain_k,
-                    horizon=len(fired), epsilon=loop.epsilon)
+                    epsilon=loop.epsilon)

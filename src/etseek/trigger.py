@@ -39,7 +39,7 @@ class AssumptionReport:
     """Outcome of the tuning check; diagnostic only.
 
     alpha_min is NaN when |rho0| >= 1 makes the bound's denominator
-    non-positive; alpha_bound_defined records that case explicitly.
+    non-positive, and only then.
     """
 
     rho0: float
@@ -48,7 +48,6 @@ class AssumptionReport:
     alpha: float
     alpha_min: float
     alpha_satisfies: bool
-    alpha_bound_defined: bool
 
 
 def measurement_error(held_gradient: float, gradient: float) -> float:
@@ -84,8 +83,7 @@ def validate_assumption(map_spec: "MapSpec", loop: "LoopSpec",
     c_g = contraction_increment(map_spec, loop)
     rho0 = 1.0 - c_g
     denominator = 1.0 - rho0 * rho0
-    defined = denominator > 0.0
-    if defined:
+    if denominator > 0.0:
         scale = 2.0 * abs(c_g) / math.sqrt(2.0)
         alpha_min = scale * math.sqrt(1.0 + 7.0 * rho0 * rho0) / denominator
     else:
@@ -97,5 +95,4 @@ def validate_assumption(map_spec: "MapSpec", loop: "LoopSpec",
         alpha=trig.alpha,
         alpha_min=alpha_min,
         alpha_satisfies=trig.alpha > alpha_min,
-        alpha_bound_defined=defined,
     )

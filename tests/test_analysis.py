@@ -10,6 +10,7 @@ import pytest
 
 from etseek import (
     EventLog,
+    MapSpec,
     avg_run,
     check_decay,
     decay_rate,
@@ -42,7 +43,6 @@ def test_expansion_vanishes_at_origin_iteration():
     assert terms.quadratic_term == 0.0
     assert terms.delta_k == 0.0
     assert terms.total() == 0.0
-    assert terms.delta_h == -map_spec.h_star  # cos(0) = 1
     assert _demodulated(map_spec, loop, 0, -2.5) == 0.0
 
 
@@ -66,14 +66,6 @@ def test_expansion_rejects_negative_iteration():
     map_spec, loop, _ = reference_specs()
     with pytest.raises(ValueError, match="k >= 0"):
         gradient_expansion(map_spec, loop, -1, 0.0)
-
-
-def test_expansion_delta_h_formula():
-    map_spec, loop, _ = reference_specs()
-    for k in range(0, 50, 7):
-        terms = gradient_expansion(map_spec, loop, k, 1.0)
-        assert terms.delta_h == -map_spec.h_star * math.cos(
-            2.0 * loop.omega * loop.epsilon * k)
 
 
 def test_expansion_exactness_property():
@@ -122,9 +114,13 @@ def test_truncation_residual_property():
 
 
 def test_lyapunov_sequence_examples():
-    assert lyapunov_sequence([0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
-    assert lyapunov_sequence([2.0]) == [4.0]
-    assert lyapunov_sequence([-3.0]) == [9.0]
+    # h_star = 1 seeds g_av[0] = theta_tilde0 exactly, and 0 is a fixed point
+    map_spec = MapSpec(q_star=2.0, h_star=1.0, theta_star=3.0)
+    _, loop, trig = reference_specs()
+    for theta_tilde0, n_iters, expected in ((0.0, 3, [0.0, 0.0, 0.0]),
+                                            (2.0, 1, [4.0]), (-3.0, 1, [9.0])):
+        assert lyapunov_sequence(avg_run(map_spec, loop, trig, theta_tilde0,
+                                         n_iters)) == expected
 
 
 def test_lyapunov_sequence_from_avg_trajectory():
@@ -260,9 +256,9 @@ def test_envelopes_reject_negative_offset():
                                   offset_constant=offset)
 
 
-def _log(ks, epsilon=0.18, horizon=1000):
+def _log(ks, epsilon=0.18):
     return EventLog(ks=array("q", ks), gradients=array("d", [0.1] * len(ks)),
-                    gain_k=-240.0, horizon=horizon, epsilon=epsilon)
+                    gain_k=-240.0, epsilon=epsilon)
 
 
 def test_event_statistics_example():
@@ -285,7 +281,7 @@ def test_event_statistics_single_event():
 
 def test_event_log_invariants():
     with pytest.raises(ValueError, match="initial event"):
-        _log([], horizon=10)
+        _log([])
     with pytest.raises(ValueError, match="start at k = 0"):
         _log([5, 10])
     with pytest.raises(ValueError, match="strictly increasing"):

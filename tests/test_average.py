@@ -9,7 +9,6 @@ import pytest
 
 from etseek import (
     TriggerSpec,
-    ZenoEstimate,
     avg_run,
     avg_step,
     closed_form_between_events,
@@ -53,20 +52,18 @@ def test_avg_step_contracts_at_event_instant():
             0, g, g / map_spec.h_star)
         assert rec.triggered is False
         assert rec.error == 0.0
-        assert rec.held_g_av == rec.g_av
 
 
 def test_avg_step_record_of_a_fire():
     # the hold is far from the current value: the trigger fires, the record
-    # keeps the pre-fire error and the refreshed hold, and the update then
-    # runs with a zero error
+    # keeps the pre-fire error, and the update then runs with a zero error
+    # from the refreshed hold
     map_spec, loop, trig = reference_specs()
     c_g = contraction_increment(map_spec, loop)
     state = AvgState(k=5, g_av=0.25, held_g_av=1.0)
     nxt, rec = avg_step(map_spec, loop, trig, state)
     assert rec.k == 5
     assert rec.triggered is True
-    assert rec.held_g_av == state.g_av
     assert rec.error == state.held_g_av - state.g_av
     assert nxt == AvgState(k=6, g_av=(1.0 - c_g) * state.g_av,
                            held_g_av=state.g_av)
@@ -151,15 +148,15 @@ def _scan(map_spec, loop, trig, g_at_event, stop, start=1):
 
 def _k_star(map_spec, loop, trig, g_at_event):
     try:
-        return min_inter_event_estimate(map_spec, loop, trig, g_at_event).k_star
+        return min_inter_event_estimate(map_spec, loop, trig, g_at_event)
     except RuntimeError:
         return None
 
 
 def test_min_gap_estimate_reference_scan():
     map_spec, loop, trig = reference_specs()
-    est = min_inter_event_estimate(map_spec, loop, trig, 1.0)
-    assert est == ZenoEstimate(k_star=4)
+    k_star = min_inter_event_estimate(map_spec, loop, trig, 1.0)
+    assert type(k_star) is int and k_star == 4
     assert _scan(map_spec, loop, trig, 1.0, 10) == 4
 
 
@@ -201,8 +198,7 @@ def test_min_gap_estimate_rounding_moves_the_crossing_one_step():
             (67.5447483958122, TriggerSpec(0.25, 0.75), 0.1, 47),
             (-21.645021645021647, TriggerSpec(0.36, 0.5), 3.0, 41)):
         case_loop = replace(loop, gain_k=gain_k)
-        est = min_inter_event_estimate(map_spec, case_loop, trig, g0)
-        assert est.k_star == k_star
+        assert min_inter_event_estimate(map_spec, case_loop, trig, g0) == k_star
         assert _scan(map_spec, case_loop, trig, g0, 100) == k_star
 
 
@@ -212,21 +208,21 @@ def test_min_gap_estimate_past_the_old_scan_cap():
     map_spec, loop, trig = reference_specs()
     loop = replace(loop, gain_k=-0.0001)
     assert contraction_increment(map_spec, loop) == pytest.approx(6.3e-08, rel=1e-12)
-    est = min_inter_event_estimate(map_spec, loop, trig, 1.0)
-    assert est.k_star == 8_423_071
-    assert _scan(map_spec, loop, trig, 1.0, est.k_star, est.k_star - 1) == est.k_star
+    k_star = min_inter_event_estimate(map_spec, loop, trig, 1.0)
+    assert k_star == 8_423_071
+    assert _scan(map_spec, loop, trig, 1.0, k_star, k_star - 1) == k_star
 
 
 def test_min_gap_estimate_small_sigma_is_one():
     map_spec, loop, _ = reference_specs()
     trig = TriggerSpec(sigma=1e-12, alpha=0.74)
-    assert min_inter_event_estimate(map_spec, loop, trig, 1.0).k_star == 1
-    assert min_inter_event_estimate(map_spec, loop, trig, -7.3).k_star == 1
+    assert min_inter_event_estimate(map_spec, loop, trig, 1.0) == 1
+    assert min_inter_event_estimate(map_spec, loop, trig, -7.3) == 1
 
 
 def test_min_gap_estimate_zero_gradient_is_one():
     map_spec, loop, trig = reference_specs()
-    assert min_inter_event_estimate(map_spec, loop, trig, 0.0).k_star == 1
+    assert min_inter_event_estimate(map_spec, loop, trig, 0.0) == 1
 
 
 def test_min_gap_estimate_unsatisfiable_is_reported():
@@ -244,7 +240,7 @@ def test_min_gap_estimate_degenerate_increments():
     # a = 1e-200 underflows c_g to 0: e stays 0, so only g0 = 0 meets the bound
     flat = replace(loop, amplitude_a=1e-200)
     assert contraction_increment(map_spec, flat) == 0.0
-    assert min_inter_event_estimate(map_spec, flat, trig, 0.0).k_star == 1
+    assert min_inter_event_estimate(map_spec, flat, trig, 0.0) == 1
     with pytest.raises(RuntimeError, match="no iteration count"):
         min_inter_event_estimate(map_spec, flat, trig, 1.0)
     # a = 1e-160 gives a subnormal c_g: the crossing lies past float range,
@@ -258,7 +254,7 @@ def test_min_gap_estimate_degenerate_increments():
     with pytest.raises(RuntimeError, match="no iteration count"):
         min_inter_event_estimate(map_spec, flipped, TriggerSpec(0.5, 0.7), 1.0)
     assert min_inter_event_estimate(map_spec, flipped, TriggerSpec(0.5, 0.9),
-                                    1.0).k_star == _scan(
+                                    1.0) == _scan(
         map_spec, flipped, TriggerSpec(0.5, 0.9), 1.0, 100)
 
 
@@ -282,11 +278,6 @@ def test_min_gap_estimate_refuses_what_rounding_decides():
         min_inter_event_estimate(map_spec, flipped, close, 1.0)
 
 
-def test_zeno_estimate_invariant():
-    with pytest.raises(ValueError, match="k_star must be >= 1"):
-        ZenoEstimate(k_star=0)
-
-
 def test_avg_run_zero_start_stays_zero():
     map_spec, loop, trig = reference_specs()
     traj = avg_run(map_spec, loop, trig, 0.0, 200)
@@ -305,9 +296,9 @@ def test_avg_run_reference_fires_every_four_iterations():
     ks = [e.k for e in traj.events.entries]
     assert ks == list(range(0, 1000, 4))
     # observed minimum gap equals the closed-form estimate
-    est = min_inter_event_estimate(map_spec, loop, trig,
-                                   traj.events.entries[0].gradient)
-    assert min(b - a for a, b in zip(ks, ks[1:])) == est.k_star
+    k_star = min_inter_event_estimate(map_spec, loop, trig,
+                                      traj.events.entries[0].gradient)
+    assert min(b - a for a, b in zip(ks, ks[1:])) == k_star
 
 
 def test_avg_run_seeds_gradient_from_theta_tilde():

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import math
 import os
+import random
 import subprocess
 import sys
 from array import array
@@ -31,6 +33,7 @@ from helpers import (
     REFERENCE_CFG,
     REFERENCE_N_ITERS,
     REFERENCE_THETA_HAT0,
+    draw_specs,
     reference_specs,
 )
 
@@ -226,8 +229,33 @@ def test_golden_files_reproduced(tmp_path):
     result = _run_into(tmp_path, "golden", REFERENCE_CFG.read_text())
     for name in ("trajectory.csv", "events.csv", "avg_trajectory.csv",
                  "report.txt"):
-        produced = (result.out_dir / name).read_bytes()
+        produced = (result.report_path.parent / name).read_bytes()
         assert produced == (GOLDEN_DIR / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ["diverging", "many-fires"])
+def test_firing_path_goldens_reproduced(tmp_path, name):
+    # many-fires refreshes the hold on 345 true and 12 averaged rows;
+    # diverging overflows the true loop, so its cells include inf, -inf, nan
+    # and -0.0
+    if name == "many-fires":
+        text = _edit(_many_fires_config_text(), "n_iters = 3000", "n_iters = 500")
+    else:
+        text = _edit(REFERENCE_CFG.read_text(), "alpha = 0.74", "alpha = 2.0")
+    result = _run_into(tmp_path, name, text)
+    for file_name in ("trajectory.csv", "events.csv", "avg_trajectory.csv",
+                      "report.txt"):
+        assert ((result.report_path.parent / file_name).read_bytes()
+                == (GOLDEN_DIR.parent / name / file_name).read_bytes()), file_name
+
+
+def test_sweep_golden_reproduced(tmp_path):
+    # one entry logs a single event (a nan mean gap), two diverge
+    config = replace(parse_config(REFERENCE_CFG.read_text()),
+                     out_dir=str(tmp_path / "sweep"))
+    summary = sweep(config, "trigger.alpha", ["0.74", "0.9", "2.0"])
+    assert (summary.read_bytes()
+            == (GOLDEN_DIR.parent / "sweep" / "summary.csv").read_bytes())
 
 
 def test_sweep_rejects_bad_parameters(tmp_path):
@@ -347,6 +375,46 @@ def test_check_prints_the_assumption_section_of_the_report(tmp_path, capsys):
             "# assumption check\n" + out + "# events: true loop\n"), name
 
 
+def _config_text(config):
+    """Config file text stating every value of config, numbers as repr."""
+    sections = {}
+    for key, value in config.flat().items():
+        section, name = key.split(".")
+        text = value if isinstance(value, str) else repr(value)
+        sections.setdefault(section, []).append(f"{name} = {text}\n")
+    return "".join(f"[{section}]\n" + "".join(lines)
+                   for section, lines in sections.items())
+
+
+def test_undefined_bound_note_appears_exactly_when_alpha_min_is_nan(
+        tmp_path, capsys):
+    # seeded draws, some with the gain's sign flipped (rho0 > 1) or the gain
+    # scaled up to 1e300 (|rho0| >= 1, and rho0^2 overflows)
+    rng = random.Random(1616)
+    base = replace(parse_config(REFERENCE_CFG.read_text()), n_iters=1,
+                   mode="true-loop")
+    note = "note: alpha bound undefined (|rho0| >= 1)\n"
+    undefined_seen = set()
+    for i in range(60):
+        map_spec, loop, trig = draw_specs(rng)
+        loop = replace(loop, gain_k=loop.gain_k * rng.choice((1.0, -1.0))
+                       * rng.choice((1.0, 1e3, 1e300)))
+        config = replace(base, map_spec=map_spec, loop_spec=loop,
+                         trigger_spec=trig, out_dir=str(tmp_path / str(i)))
+        cfg = tmp_path / f"{i}.cfg"
+        cfg.write_text(_config_text(config))
+        assert parse_config(cfg.read_text()) == config
+        assert main(["check", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        report = (tmp_path / str(i) / "report.txt").read_text()
+        undefined = math.isnan(validate_assumption(map_spec, loop, trig).alpha_min)
+        assert (note in out) == (note in report) == undefined, i
+        undefined_seen.add(undefined)
+    assert undefined_seen == {False, True}
+
+
 _REPORT_WORDS = {"n/a": None, "true": True, "false": False}
 
 
@@ -420,7 +488,6 @@ def test_report_reads_back_as_the_run_result(tmp_path):
             assert list(report) == titles, (name, mode)
 
             assumption = asdict(result.assumption)
-            del assumption["alpha_bound_defined"]
             if notes[name] is not None:
                 assumption["note"] = notes[name]
             _assert_reads_back(report["assumption check"], assumption)
@@ -661,10 +728,10 @@ def test_csv_files_match_the_csv_writer_oracle(tmp_path):
                       config.n_iters)
         expected = _true_loop_oracle(traj, log) | {
             "avg_trajectory.csv": _avg_oracle(avg)}
+        out = result.report_path.parent
         for file_name, data in expected.items():
-            assert (result.out_dir / file_name).read_bytes() == data, \
-                (name, file_name)
-        written = (result.out_dir / "trajectory.csv").read_text().splitlines()
+            assert (out / file_name).read_bytes() == data, (name, file_name)
+        written = (out / "trajectory.csv").read_text().splitlines()
         assert sum(line.endswith(",1") for line in written) > 10
         if name == "fires":
             assert len(log.entries) > 1000
@@ -786,8 +853,9 @@ def test_forked_and_in_process_runs_are_byte_identical(tmp_path, monkeypatch):
             patch.delattr(os, "fork")
             serial = _run_into(tmp_path, name + "-serial", text)
         for file_name in names:
-            assert ((forked.out_dir / file_name).read_bytes()
-                    == (serial.out_dir / file_name).read_bytes()), (name, file_name)
+            assert ((forked.report_path.parent / file_name).read_bytes()
+                    == (serial.report_path.parent / file_name).read_bytes()), \
+                (name, file_name)
         for field in ("assumption", "event_stats", "envelopes", "final_theta",
                       "avg_event_stats", "decay", "avg_envelopes"):
             assert getattr(forked, field) is not None, (name, field)
@@ -809,7 +877,7 @@ def test_running_threads_keep_both_halves_in_process(tmp_path, monkeypatch):
     assert not thread.is_alive()
     assert forks == []
     assert result.decay.passed
-    assert ((result.out_dir / "avg_trajectory.csv").read_bytes()
+    assert ((result.report_path.parent / "avg_trajectory.csv").read_bytes()
             == (GOLDEN_DIR / "avg_trajectory.csv").read_bytes())
 
 
@@ -894,7 +962,7 @@ def test_true_loop_blocks_match_the_csv_writer_oracle(tmp_path):
         expected = _true_loop_oracle(traj, log) | {
             "avg_trajectory.csv": _avg_oracle(avg)}
         for file_name, data in expected.items():
-            assert (result.out_dir / file_name).read_bytes() == data, \
+            assert (result.report_path.parent / file_name).read_bytes() == data, \
                 (n_iters, file_name)
         edge_events.update(k % _BLOCK_ROWS for k in log.ks[1:]
                            if k % _BLOCK_ROWS in (0, _BLOCK_ROWS - 1))

@@ -56,11 +56,6 @@ def test_spec_construction_errors():
             LoopSpec(amplitude_a=0.1, omega=7.0, epsilon=0.18, gain_k=bad)
 
 
-def test_loop_period_in_seconds():
-    loop = LoopSpec(amplitude_a=0.1, omega=7.0, epsilon=0.18, gain_k=-240.0)
-    assert loop.period == 2.0 * math.pi / 7.0
-
-
 def test_eval_map_examples():
     map_spec = MapSpec(q_star=2.0, h_star=-0.7, theta_star=3.0)
     assert eval_map(map_spec, 3.0) == 2.0

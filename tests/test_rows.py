@@ -4,8 +4,9 @@ Trajectory and AvgTrajectory hold one column per recorded value; records is
 a read-only sequence that builds a StepRecord or AvgRecord only for the row
 asked for. EventLog holds the (ks, gradients) event columns, which
 escore.event_log reads off a run's gradient and fired columns; entries
-builds an EventEntry the same way. These tests pin the sequence behaviour
-the old tuples of records and entries had, and the column invariants.
+builds an EventEntry the same way. These tests pin that records and
+entries behave as read-only sequences (indexing, slicing, iteration,
+equality), and the column invariants.
 """
 
 import math
@@ -87,12 +88,18 @@ def test_trajectories_reject_columns_of_unequal_length():
     with pytest.raises(ValueError, match="AvgTrajectory columns must have equal lengths"):
         AvgTrajectory(columns=acols._replace(triggered=acols.triggered[1:]),
                       events=avg.events)
+    # zero rows: no first row to read an envelope's initial magnitude from
+    with pytest.raises(ValueError, match="^Trajectory must have at least one row$"):
+        Trajectory(columns=cols._make(col[:0] for col in cols))
+    with pytest.raises(ValueError, match="^AvgTrajectory must have at least one row$"):
+        AvgTrajectory(columns=acols._make(col[:0] for col in acols),
+                      events=avg.events)
 
 
 def _event_log(ks, gradients=None, gain_k=-240.0):
     gradients = [0.5 * k for k in ks] if gradients is None else gradients
     return EventLog(ks=array("q", ks), gradients=array("d", gradients),
-                    gain_k=gain_k, horizon=100, epsilon=0.18)
+                    gain_k=gain_k, epsilon=0.18)
 
 
 def test_event_log_rejects_bad_columns():
@@ -132,7 +139,6 @@ def test_event_logs_of_identical_runs_compare_equal():
     _, again = _true_run_and_log(300, alpha=2.0)
     assert len(log.entries) > 2
     assert log == again and log.entries == again.entries
-    assert log != _true_run_and_log(301, alpha=2.0)[1]  # another horizon
     assert log.entries != _true_run_and_log(300)[1].entries
     assert (_event_log([0, 3]).entries
             != _event_log([0, 3], gain_k=-20.0).entries)
@@ -150,14 +156,13 @@ def _derived_log(gradient, fired):
 def test_event_log_is_the_seed_then_every_fired_row():
     loop = reference_specs()[1]
     log = _derived_log([1.5, 2.0, -3.0], [0, 0, 0])
-    assert (list(log.ks), list(log.gradients), log.horizon) == ([0], [1.5], 3)
+    assert (list(log.ks), list(log.gradients)) == ([0], [1.5])
     # a fire on the last row is logged, each event holding its own row's value
     log = _derived_log([1.5, 2.0, -3.0, 4.0, 5.0], [0, 1, 0, 0, 1])
     assert list(log.ks) == [0, 1, 4]
     assert list(log.gradients) == [1.5, 2.0, 5.0]
     assert (log.ks.typecode, log.gradients.typecode) == ("q", "d")
-    assert (log.horizon, log.gain_k, log.epsilon) == (5, loop.gain_k, loop.epsilon)
-    assert _derived_log([7.0], [0]).horizon == 1
+    assert (log.gain_k, log.epsilon) == (loop.gain_k, loop.epsilon)
     # row 0 seeds the hold and cannot fire; a column claiming it did would
     # log k = 0 twice, which EventLog refuses
     with pytest.raises(ValueError, match="strictly increasing"):

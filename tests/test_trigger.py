@@ -109,7 +109,6 @@ def test_validate_assumption_reference_values():
     assert report.alpha_min == pytest.approx(1.8804406459690333, abs=1e-12)
     assert report.alpha == 0.74
     assert report.alpha_satisfies is False
-    assert report.alpha_bound_defined is True
 
 
 def test_sign_mismatch_flagged():
@@ -121,7 +120,6 @@ def test_sign_mismatch_flagged():
     # c = eps*a^2*H*K/2 < 0 here, so rho0 > 1: the alpha bound degenerates
     assert report.rho0 == pytest.approx(1.1512, abs=1e-12)
     assert report.rho0_in_unit_interval is False
-    assert report.alpha_bound_defined is False
     assert math.isnan(report.alpha_min)
     assert report.alpha_satisfies is False
 
@@ -153,7 +151,6 @@ def test_report_fields_satisfy_their_formulas():
             assert report.alpha_satisfies == (trig.alpha > expected)
         else:
             assert math.isnan(report.alpha_min)
-            assert not report.alpha_bound_defined
 
 
 def test_diagnostics_match_the_inline_closed_forms():
