@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from etseek.average import AvgTrajectory
 from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
@@ -40,8 +39,7 @@ __all__ = [
 DECAY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class ExpansionTerms:
+class ExpansionTerms(NamedTuple):
     """Exact decomposition of the demodulated gradient at one iteration.
 
     delta_k is the parameter-free dither residue. The three additive pieces
@@ -57,8 +55,7 @@ class ExpansionTerms:
         return self.linear_term + self.quadratic_term + self.delta_k
 
 
-@dataclass(frozen=True)
-class EventStats:
+class EventStats(NamedTuple):
     """Gap statistics of an event log; gap fields are None for single-event logs."""
 
     count: int
@@ -68,8 +65,7 @@ class EventStats:
     max_gap_iters: int | None
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     """Outcome of the per-step Lyapunov decay check."""
 
     rho: float
@@ -79,16 +75,14 @@ class DecayReport:
     max_excess: float
 
 
-@dataclass(frozen=True)
-class EnvelopeCheck:
+class EnvelopeCheck(NamedTuple):
     name: str
     passed: bool
     first_violation_k: int | None
     max_excess: float
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(NamedTuple):
     rho: float
     checks: tuple[EnvelopeCheck, ...]
 

@@ -13,15 +13,14 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from etseek import trigger as _trigger
 from etseek.escore import (EventLog, LoopSpec, MapSpec, RowView, check_columns,
                            event_log, eq_by_bits, trajectory_row)
 
-@dataclass(frozen=True)
-class AvgState:
+
+class AvgState(NamedTuple):
     """Averaged-loop state: gradient estimate and hold. The parameter error
     is g_av / h_star, so g_av = h_star * theta_tilde_av by construction."""
 
@@ -30,8 +29,7 @@ class AvgState:
     held_g_av: float
 
 
-@dataclass(frozen=True)
-class AvgRecord:
+class AvgRecord(NamedTuple):
     """The averaged loop at one iteration: its avg_trajectory.csv row.
 
     error is the pre-fire value, as in the true loop's StepRecord.
@@ -56,17 +54,19 @@ class AvgColumns(NamedTuple):
     triggered: array
 
 
-@dataclass(frozen=True)
-class AvgTrajectory:
-    """Per-iteration columns of the averaged loop and its events."""
+@_trigger.checked
+class AvgTrajectory(NamedTuple):
+    """Per-iteration columns of the averaged loop and its events; its len is
+    its row count."""
 
     columns: AvgColumns
     events: EventLog
 
-    def __post_init__(self):
+    def _check(self):
         check_columns("AvgTrajectory", self.columns)
 
     __eq__ = eq_by_bits
+    __ne__ = object.__ne__  # tuple's own __ne__ would ignore __eq__
 
     @property
     def records(self) -> RowView:

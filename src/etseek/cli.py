@@ -17,8 +17,8 @@ import os
 import sys
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from etseek import analysis, average, escore
 from etseek.escore import LoopSpec, MapSpec
@@ -64,8 +64,7 @@ class ConfigError(ValueError):
     """Invalid configuration text, key set, value, or invariant."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     map_spec: MapSpec
     loop_spec: LoopSpec
     trigger_spec: TriggerSpec
@@ -81,8 +80,7 @@ class ExperimentConfig:
                 for key, (part, name) in _FIELDS.items()}
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """What a run wrote and found; report.txt is rendered from it. The
     fields of a loop that the run's mode does not run are None."""
 
@@ -258,9 +256,8 @@ def _render(sections) -> list[str]:
 
 
 def _items(result, skip=()) -> list:
-    """(name, value) of a result dataclass's fields, in declaration order."""
-    return [(f.name, getattr(result, f.name)) for f in fields(result)
-            if f.name not in skip]
+    """(name, value) of each field of a result NamedTuple, in field order."""
+    return [item for item in zip(result._fields, result) if item[0] not in skip]
 
 
 def _assumption_section(report: AssumptionReport):

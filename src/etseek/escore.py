@@ -14,7 +14,6 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from itertools import compress, count, islice, repeat
 from typing import NamedTuple
 
@@ -22,27 +21,27 @@ from etseek import trigger as _trigger
 
 
 def _require_finite(spec) -> None:
-    for f in fields(spec):
-        if not math.isfinite(getattr(spec, f.name)):
-            raise ValueError(f"{type(spec).__name__}.{f.name} must be finite")
+    for name, value in zip(spec._fields, spec):
+        if not math.isfinite(value):
+            raise ValueError(f"{type(spec).__name__}.{name} must be finite")
 
 
-@dataclass(frozen=True)
-class MapSpec:
+@_trigger.checked
+class MapSpec(NamedTuple):
     """The unknown quadratic map y = q_star + (h_star/2)(theta - theta_star)^2."""
 
     q_star: float
     h_star: float
     theta_star: float
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite(self)
         if self.h_star == 0:
             raise ValueError("MapSpec.h_star must be nonzero")
 
 
-@dataclass(frozen=True)
-class LoopSpec:
+@_trigger.checked
+class LoopSpec(NamedTuple):
     """Controller-side constants: dither (a, omega), step size, gain."""
 
     amplitude_a: float
@@ -50,7 +49,7 @@ class LoopSpec:
     epsilon: float
     gain_k: float
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite(self)
         if self.amplitude_a <= 0:
             raise ValueError("LoopSpec.amplitude_a must be > 0")
@@ -62,8 +61,7 @@ class LoopSpec:
             raise ValueError("LoopSpec.gain_k must be nonzero")
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """Closed-loop state between iterations.
 
     The applied input is not stored: step derives it as -gain_k *
@@ -75,8 +73,7 @@ class SimState:
     held_gradient: float
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Everything observed at one iteration; error is the pre-reset value."""
 
     k: int
@@ -115,10 +112,10 @@ def same_bits(a, b) -> bool:
 
 
 def eq_by_bits(self, other):
-    """__eq__ of the types that hold columns: same type, attributes same_bits."""
+    """__eq__ of the types that hold columns: same type, items same_bits."""
     if type(other) is not type(self):
         return NotImplemented
-    return same_bits(tuple(vars(self).values()), tuple(vars(other).values()))
+    return same_bits(self, other)
 
 
 class RowView(Sequence):
@@ -148,7 +145,12 @@ class RowView(Sequence):
         return map(self._make, *map(repeat, self._fixed), count(),
                    *self._columns)
 
-    __eq__ = eq_by_bits
+    def __eq__(self, other):
+        if type(other) is not RowView:
+            return NotImplemented
+        return same_bits((self._make, self._fixed, self._columns),
+                         (other._make, other._fixed, other._columns))
+
     __hash__ = None
 
 
@@ -167,16 +169,17 @@ def check_columns(owner: str, columns) -> None:
         raise ValueError(f"{owner} must have at least one row")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Per-iteration columns of the true loop."""
+@_trigger.checked
+class Trajectory(NamedTuple):
+    """Per-iteration columns of the true loop; its len is its row count."""
 
     columns: StepColumns
 
-    def __post_init__(self):
+    def _check(self):
         check_columns("Trajectory", self.columns)
 
     __eq__ = eq_by_bits
+    __ne__ = object.__ne__  # tuple's own __ne__ would ignore __eq__
 
     @property
     def records(self) -> RowView:
@@ -187,8 +190,7 @@ class Trajectory:
         return len(self.columns.theta_hat)
 
 
-@dataclass(frozen=True)
-class EventEntry:
+class EventEntry(NamedTuple):
     """One triggering instant: index l, iteration k_l, and the held pair."""
 
     index: int
@@ -197,8 +199,8 @@ class EventEntry:
     control: float
 
 
-@dataclass(frozen=True)
-class EventLog:
+@_trigger.checked
+class EventLog(NamedTuple):
     """Triggering instants of one run as columns; the origin is always first.
 
     Event l happened at iteration ks[l] and held gradients[l] from then on,
@@ -215,7 +217,7 @@ class EventLog:
     gain_k: float
     epsilon: float
 
-    def __post_init__(self):
+    def _check(self):
         if not self.ks:
             raise ValueError("EventLog must contain the initial event")
         check_columns("EventLog", (self.ks, self.gradients))
@@ -225,6 +227,7 @@ class EventLog:
             raise ValueError("EventLog iterations must be strictly increasing")
 
     __eq__ = eq_by_bits
+    __ne__ = object.__ne__
 
     @property
     def entries(self) -> RowView:

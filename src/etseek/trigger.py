@@ -6,26 +6,50 @@ strict crossings only. Diagnostics check the contraction factor rho0 and the
 minimal alpha the stability argument needs. Violations are reported, never
 raised: reference parameter sets that fail the bound must still simulate.
 The AssumptionReport holds values only; etseek.cli renders it as text.
+
+Every other etseek module imports this one, and it imports none of them,
+so it also holds checked, which makes a NamedTuple type check its values
+however an instance is made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from etseek.escore import LoopSpec, MapSpec
 
 
-@dataclass(frozen=True)
-class TriggerSpec:
+def checked(base):
+    """The NamedTuple type base, made to run its _check on every instance.
+
+    The returned subclass, of base's name and module, runs _check in
+    __new__, which construction and unpickling call, and its _make calls the
+    constructor, so _make and _replace run it too. typing.NamedTuple forbids
+    both overrides in base's own body.
+    """
+    def __new__(cls, *args, **kwargs):
+        self = base.__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    return type(base.__name__, (base,), {
+        "__slots__": (), "__doc__": base.__doc__, "__module__": base.__module__,
+        "__new__": __new__, "_make": classmethod(_make)})
+
+
+@checked
+class TriggerSpec(NamedTuple):
     """Event parameters: sigma in (0,1) and a finite alpha > 0."""
 
     sigma: float
     alpha: float
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("TriggerSpec.sigma must lie in (0,1)")
         if not math.isfinite(self.alpha):
@@ -34,8 +58,7 @@ class TriggerSpec:
             raise ValueError("TriggerSpec.alpha must be > 0")
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Outcome of the tuning check; diagnostic only.
 
     alpha_min is NaN when |rho0| >= 1 makes the bound's denominator

@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 from array import array
-from dataclasses import replace
 
 import pytest
 
@@ -228,7 +227,7 @@ def test_envelopes_overflowing_bound_reads_inf():
     # gain sign opposite the curvature gives rho > 1; at rho ~ 3476 the power
     # rho ** (k/2) overflows a float from k = 175, and the bound reads inf
     map_spec, loop, trig = reference_specs()
-    loop = replace(loop, gain_k=240000.0)
+    loop = loop._replace(gain_k=240000.0)
     traj, _ = escore.run(map_spec, loop, trig, 0.5, 300)
     report = convergence_envelopes(traj, map_spec, loop, trig,
                                    offset_constant=0.3)

@@ -3,7 +3,6 @@
 import math
 import random
 import struct
-from dataclasses import replace
 
 import pytest
 
@@ -169,10 +168,10 @@ def test_min_gap_estimate_matches_the_scan_oracle():
     for _ in range(4000):
         map_spec, loop, trig = draw_specs(rng)
         if rng.random() < 0.3:
-            loop = replace(loop, gain_k=-loop.gain_k)
+            loop = loop._replace(gain_k=-loop.gain_k)
         if rng.random() < 0.2:
-            trig = replace(trig, alpha=math.sqrt(trig.sigma)
-                           * rng.choice([1.0, 1.0 + 1e-12, 1.0 - 1e-12]))
+            trig = trig._replace(alpha=math.sqrt(trig.sigma)
+                                 * rng.choice([1.0, 1.0 + 1e-12, 1.0 - 1e-12]))
         g0 = rng.choice([0.0, 1.0, -7.3, 1e-300, rng.uniform(-1e3, 1e3)])
         k_star = _k_star(map_spec, loop, trig, g0)
         if k_star is None:
@@ -197,7 +196,7 @@ def test_min_gap_estimate_rounding_moves_the_crossing_one_step():
     for gain_k, trig, g0, k_star in (
             (67.5447483958122, TriggerSpec(0.25, 0.75), 0.1, 47),
             (-21.645021645021647, TriggerSpec(0.36, 0.5), 3.0, 41)):
-        case_loop = replace(loop, gain_k=gain_k)
+        case_loop = loop._replace(gain_k=gain_k)
         assert min_inter_event_estimate(map_spec, case_loop, trig, g0) == k_star
         assert _scan(map_spec, case_loop, trig, g0, 100) == k_star
 
@@ -206,7 +205,7 @@ def test_min_gap_estimate_past_the_old_scan_cap():
     # loop.k = -0.0001 gives c_g = 6.3e-08: the bound first holds at
     # n = 8,423,071, past the 1e6 iterations the scan looked at
     map_spec, loop, trig = reference_specs()
-    loop = replace(loop, gain_k=-0.0001)
+    loop = loop._replace(gain_k=-0.0001)
     assert contraction_increment(map_spec, loop) == pytest.approx(6.3e-08, rel=1e-12)
     k_star = min_inter_event_estimate(map_spec, loop, trig, 1.0)
     assert k_star == 8_423_071
@@ -238,19 +237,19 @@ def test_min_gap_estimate_unsatisfiable_is_reported():
 def test_min_gap_estimate_degenerate_increments():
     map_spec, loop, trig = reference_specs()
     # a = 1e-200 underflows c_g to 0: e stays 0, so only g0 = 0 meets the bound
-    flat = replace(loop, amplitude_a=1e-200)
+    flat = loop._replace(amplitude_a=1e-200)
     assert contraction_increment(map_spec, flat) == 0.0
     assert min_inter_event_estimate(map_spec, flat, trig, 0.0) == 1
     with pytest.raises(RuntimeError, match="no iteration count"):
         min_inter_event_estimate(map_spec, flat, trig, 1.0)
     # a = 1e-160 gives a subnormal c_g: the crossing lies past float range,
     # even with alpha = 0.9 above sqrt(sigma)
-    tiny = replace(loop, amplitude_a=1e-160)
+    tiny = loop._replace(amplitude_a=1e-160)
     assert 0.0 < contraction_increment(map_spec, tiny) < 1e-300
     with pytest.raises(RuntimeError, match="no iteration count"):
         min_inter_event_estimate(map_spec, tiny, TriggerSpec(0.5, 0.9), 1.0)
     # with c_g < 0 the bound needs alpha > sqrt(sigma)
-    flipped = replace(loop, gain_k=-loop.gain_k)
+    flipped = loop._replace(gain_k=-loop.gain_k)
     with pytest.raises(RuntimeError, match="no iteration count"):
         min_inter_event_estimate(map_spec, flipped, TriggerSpec(0.5, 0.7), 1.0)
     assert min_inter_event_estimate(map_spec, flipped, TriggerSpec(0.5, 0.9),
@@ -266,7 +265,7 @@ def test_min_gap_estimate_refuses_what_rounding_decides():
     # a subnormal event gradient rounds its products to a few bits: with
     # c_g < 0 and alpha = sqrt(sigma) the bound never holds exactly, yet the
     # comparison holds at n = 4
-    flipped = replace(loop, gain_k=-loop.gain_k)
+    flipped = loop._replace(gain_k=-loop.gain_k)
     even = TriggerSpec(sigma=0.5, alpha=math.sqrt(0.5))
     assert _scan(map_spec, flipped, even, 5e-324, 10) == 4
     with pytest.raises(RuntimeError, match="rounding"):
@@ -327,7 +326,7 @@ def test_theta_tilde_av_tracks_g_av_when_rho0_exceeds_one():
     # fires: g_av grows linearly to about 1e4, and theta_tilde_av must follow
     # it instead of compounding its own rounding error to inf
     map_spec, loop, trig = reference_specs()
-    loop = replace(loop, gain_k=240.0)
+    loop = loop._replace(gain_k=240.0)
     assert validate_assumption(map_spec, loop, trig).rho0 > 1.0
     traj = avg_run(map_spec, loop, trig, -2.5, 40000)
     cols = traj.columns

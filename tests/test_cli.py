@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 from array import array
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -150,8 +149,7 @@ def test_malformed_numbers_name_the_key():
 
 def _run_into(tmp_path, name, text):
     config = parse_config(text)
-    from dataclasses import replace
-    return run_experiment(replace(config, out_dir=str(tmp_path / name)))
+    return run_experiment(config._replace(out_dir=str(tmp_path / name)))
 
 
 def test_true_loop_mode_writes_trajectory_events_report(tmp_path):
@@ -251,8 +249,8 @@ def test_firing_path_goldens_reproduced(tmp_path, name):
 
 def test_sweep_golden_reproduced(tmp_path):
     # one entry logs a single event (a nan mean gap), two diverge
-    config = replace(parse_config(REFERENCE_CFG.read_text()),
-                     out_dir=str(tmp_path / "sweep"))
+    config = parse_config(REFERENCE_CFG.read_text())._replace(
+        out_dir=str(tmp_path / "sweep"))
     summary = sweep(config, "trigger.alpha", ["0.74", "0.9", "2.0"])
     assert (summary.read_bytes()
             == (GOLDEN_DIR.parent / "sweep" / "summary.csv").read_bytes())
@@ -269,8 +267,7 @@ def test_sweep_rejects_bad_parameters(tmp_path):
 
 
 def test_sweep_validates_all_values_before_running(tmp_path):
-    from dataclasses import replace
-    config = replace(parse_config(MINIMAL), out_dir=str(tmp_path / "sw"))
+    config = parse_config(MINIMAL)._replace(out_dir=str(tmp_path / "sw"))
     for param, values, message in [
             ("trigger.sigma", ["0.5", "1.5"], r"trigger.sigma = 1.5"),
             ("run.n_iters", ["0"], r"run.n_iters must be >= 1"),
@@ -290,9 +287,8 @@ def test_sweep_validates_all_values_before_running(tmp_path):
 
 
 def test_sweep_writes_summary_and_per_value_directories(tmp_path):
-    from dataclasses import replace
-    config = replace(parse_config(MINIMAL), out_dir=str(tmp_path / "sw"),
-                     n_iters=400)
+    config = parse_config(MINIMAL)._replace(out_dir=str(tmp_path / "sw"),
+                                            n_iters=400)
     summary = sweep(config, "loop.epsilon", ["0.09", "0.18"])
     with open(summary, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -391,16 +387,16 @@ def test_undefined_bound_note_appears_exactly_when_alpha_min_is_nan(
     # seeded draws, some with the gain's sign flipped (rho0 > 1) or the gain
     # scaled up to 1e300 (|rho0| >= 1, and rho0^2 overflows)
     rng = random.Random(1616)
-    base = replace(parse_config(REFERENCE_CFG.read_text()), n_iters=1,
-                   mode="true-loop")
+    base = parse_config(REFERENCE_CFG.read_text())._replace(
+        n_iters=1, mode="true-loop")
     note = "note: alpha bound undefined (|rho0| >= 1)\n"
     undefined_seen = set()
     for i in range(60):
         map_spec, loop, trig = draw_specs(rng)
-        loop = replace(loop, gain_k=loop.gain_k * rng.choice((1.0, -1.0))
-                       * rng.choice((1.0, 1e3, 1e300)))
-        config = replace(base, map_spec=map_spec, loop_spec=loop,
-                         trigger_spec=trig, out_dir=str(tmp_path / str(i)))
+        loop = loop._replace(gain_k=loop.gain_k * rng.choice((1.0, -1.0))
+                             * rng.choice((1.0, 1e3, 1e300)))
+        config = base._replace(map_spec=map_spec, loop_spec=loop,
+                               trigger_spec=trig, out_dir=str(tmp_path / str(i)))
         cfg = tmp_path / f"{i}.cfg"
         cfg.write_text(_config_text(config))
         assert parse_config(cfg.read_text()) == config
@@ -475,8 +471,8 @@ def test_report_reads_back_as_the_run_result(tmp_path):
     decay_verdicts, envelope_verdicts = set(), set()
     for name, text in _assumption_variants().items():
         for mode in MODES:
-            result = run_experiment(replace(
-                parse_config(text), mode=mode, out_dir=str(tmp_path / name / mode)))
+            result = run_experiment(parse_config(text)._replace(
+                mode=mode, out_dir=str(tmp_path / name / mode)))
             report = _read_report(result.report_path)
             titles = ["assumption check"]
             if mode != "average":
@@ -487,13 +483,13 @@ def test_report_reads_back_as_the_run_result(tmp_path):
                            "envelopes: average loop"]
             assert list(report) == titles, (name, mode)
 
-            assumption = asdict(result.assumption)
+            assumption = result.assumption._asdict()
             if notes[name] is not None:
                 assumption["note"] = notes[name]
             _assert_reads_back(report["assumption check"], assumption)
 
             if mode != "average":
-                events = asdict(result.event_stats)
+                events = result.event_stats._asdict()
                 if name == "reference":
                     events |= {"reference_count": 19,
                                "reference_mean_gap_seconds": 9.47}
@@ -503,9 +499,9 @@ def test_report_reads_back_as_the_run_result(tmp_path):
                 envelope_verdicts.update(c.passed for c in result.envelopes.checks)
             if mode != "true-loop":
                 _assert_reads_back(report["events: average loop"],
-                                   asdict(result.avg_event_stats))
+                                   result.avg_event_stats._asdict())
                 # where the decay check failed, and by how much, only then
-                decay = asdict(result.decay)
+                decay = result.decay._asdict()
                 if result.decay.passed:
                     del decay["first_violation_k"], decay["max_excess"]
                 _assert_reads_back(report["decay: average loop"], decay)
@@ -641,6 +637,18 @@ def test_import_etseek_leaves_the_cli_unloaded():
     assert out.stdout == "\n"
 
 
+def test_import_etseek_cli_loads_no_dataclasses_or_inspect():
+    # the package's types are NamedTuples; dataclasses would pull in inspect
+    # and its parsers, most of the start-up of each short-lived etseek call
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, etseek.cli; print(*sorted(m for m in ('dataclasses', "
+         "'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules))"],
+        capture_output=True, text=True, env=_src_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "\n"
+
+
 def test_module_run_under_warnings_as_errors(tmp_path):
     # the forked averaged half and its pipe must leave no ResourceWarning or
     # DeprecationWarning behind; under -W error one would fail the run or
@@ -744,15 +752,14 @@ def test_csv_files_match_the_csv_writer_oracle(tmp_path):
 
 def test_summary_csv_matches_the_csv_writer_oracle(tmp_path):
     # alpha 0.74 leaves one event (mean gap None, written nan); 2.0 diverges
-    from dataclasses import replace
-    config = replace(parse_config(REFERENCE_CFG.read_text()),
-                     out_dir=str(tmp_path / "sw"))
+    config = parse_config(REFERENCE_CFG.read_text())._replace(
+        out_dir=str(tmp_path / "sw"))
     summary = sweep(config, "trigger.alpha", ["0.74", "2.0"])
     theta_star = config.map_spec.theta_star
     rows = []
     for alpha in (0.74, 2.0):
         specs = (config.map_spec, config.loop_spec,
-                 replace(config.trigger_spec, alpha=alpha))
+                 config.trigger_spec._replace(alpha=alpha))
         traj, log = escore.run(*specs, config.theta_hat0, config.n_iters)
         avg = avg_run(*specs, config.theta_hat0 - theta_star, config.n_iters)
         stats = event_statistics(log)
@@ -773,10 +780,10 @@ def test_run_experiment_builds_no_record_objects(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     built = []
     for record_type in (StepRecord, AvgRecord):
-        def counted(self, *args, _init=record_type.__init__, **kwargs):
-            built.append(type(self).__name__)
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(record_type, "__init__", counted)
+        def counted(cls, *args, _new=record_type.__new__, **kwargs):
+            built.append(cls.__name__)
+            return _new(cls, *args, **kwargs)
+        monkeypatch.setattr(record_type, "__new__", counted)
     result = _run_into(tmp_path, "both", REFERENCE_CFG.read_text())
     assert result.trajectory_path.exists()
     assert result.avg_trajectory_path.exists()
@@ -794,11 +801,11 @@ def test_run_experiment_builds_no_event_entries(tmp_path, monkeypatch):
     # statistics read log.ks, so no EventEntry is built on the hot path
     built = []
 
-    def counted(self, *args, _init=EventEntry.__init__, **kwargs):
+    def counted(cls, *args, _new=EventEntry.__new__, **kwargs):
         built.append(1)
-        _init(self, *args, **kwargs)
+        return _new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(EventEntry, "__init__", counted)
+    monkeypatch.setattr(EventEntry, "__new__", counted)
     result = _run_into(tmp_path, "fires", _many_fires_config_text())
     assert result.event_stats.count > 1000
     assert result.events_path.read_text().count("\n") == result.event_stats.count + 1
@@ -948,13 +955,12 @@ def test_failing_true_half_kills_and_reaps_the_child(tmp_path, monkeypatch):
 def test_true_loop_blocks_match_the_csv_writer_oracle(tmp_path):
     # horizons around the block size, on a config that fires on most rows,
     # so events fall on the first and the last row of a block
-    from dataclasses import replace
     config = parse_config(_many_fires_config_text())
     edge_events = set()
     for n_iters in (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                     2 * _BLOCK_ROWS + 1):
-        entry = replace(config, n_iters=n_iters, mode="both",
-                        out_dir=str(tmp_path / str(n_iters)))
+        entry = config._replace(n_iters=n_iters, mode="both",
+                                out_dir=str(tmp_path / str(n_iters)))
         result = run_experiment(entry)
         traj, log = escore.run(*_specs(entry), entry.theta_hat0, n_iters)
         avg = avg_run(*_specs(entry),
@@ -971,8 +977,8 @@ def test_true_loop_blocks_match_the_csv_writer_oracle(tmp_path):
     # the reference averaged loop settles from row 3205 on (g_av on one
     # subnormal, e_av on 0.0 a row later): block 12 is mixed and blocks 13
     # to 15 repeat one value in every column
-    entry = replace(parse_config(REFERENCE_CFG.read_text()), n_iters=4000,
-                    mode="average", out_dir=str(tmp_path / "settled"))
+    entry = parse_config(REFERENCE_CFG.read_text())._replace(
+        n_iters=4000, mode="average", out_dir=str(tmp_path / "settled"))
     result = run_experiment(entry)
     avg = avg_run(*_specs(entry),
                   entry.theta_hat0 - entry.map_spec.theta_star, 4000)

@@ -1,7 +1,6 @@
 """True-loop operations, stepping order, and run-level invariants."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -174,7 +173,7 @@ def test_overflowing_start_reaches_the_trigger_as_nan():
     # held gradient is that NaN.
     map_spec, loop, trig = reference_specs()
     for alpha in (0.74, 2.0):
-        traj, log = run(map_spec, loop, replace(trig, alpha=alpha), 1e200, 200)
+        traj, log = run(map_spec, loop, trig._replace(alpha=alpha), 1e200, 200)
         cols = traj.columns
         assert cols.y[0] == -math.inf
         assert all(math.isnan(g) for g in cols.gradient)

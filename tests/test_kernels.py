@@ -11,7 +11,6 @@ signed zeros are compared by identity rather than IEEE equality.
 import math
 import random
 import struct
-from dataclasses import replace
 
 from etseek import escore
 from etseek.average import AvgState, avg_run, avg_step
@@ -55,7 +54,7 @@ def test_run_matches_step_composition_on_reference():
     # the reference set never fires; gain 240 has the curvature's sign wrong;
     # a single row is only the hold seeding
     map_spec, loop, trig = reference_specs()
-    for case_loop, n in ((loop, 500), (replace(loop, gain_k=240.0), 500),
+    for case_loop, n in ((loop, 500), (loop._replace(gain_k=240.0), 500),
                          (loop, 1)):
         traj, log = escore.run(map_spec, case_loop, trig,
                                REFERENCE_THETA_HAT0, n)
@@ -115,7 +114,7 @@ def test_rows_match_step_composition_on_diverging_run():
     # alpha = 2.0 fires 13 times, then the loop overflows: the rows carry
     # -0.0, inf and -inf cells, which repr compares by identity
     map_spec, loop, trig = reference_specs()
-    trig = replace(trig, alpha=2.0)
+    trig = trig._replace(alpha=2.0)
     traj, log = escore.run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 1000)
     records, events = _recompose_true(map_spec, loop, trig,
                                       REFERENCE_THETA_HAT0, 1000)
@@ -132,8 +131,8 @@ def test_avg_rows_match_avg_step_composition():
     # grows linearly and theta_tilde_av follows it
     map_spec, loop, trig = reference_specs()
     cases = [(loop, trig, 1), (loop, trig, 200),
-             (loop, replace(trig, alpha=2.0), 200),
-             (replace(loop, gain_k=240.0), trig, 6000)]
+             (loop, trig._replace(alpha=2.0), 200),
+             (loop._replace(gain_k=240.0), trig, 6000)]
     for case_loop, case_trig, n in cases:
         traj = avg_run(map_spec, case_loop, case_trig, -2.5, n)
         rows, events = _recompose_avg(map_spec, case_loop, case_trig, -2.5, n)

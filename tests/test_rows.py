@@ -11,7 +11,6 @@ equality), and the column invariants.
 
 import math
 from array import array
-from dataclasses import replace
 
 import pytest
 
@@ -27,7 +26,7 @@ def _true_run(n, **trigger_changes):
 
 def _true_run_and_log(n, **trigger_changes):
     map_spec, loop, trig = reference_specs()
-    return run(map_spec, loop, replace(trig, **trigger_changes),
+    return run(map_spec, loop, trig._replace(**trigger_changes),
                REFERENCE_THETA_HAT0, n)
 
 
@@ -183,7 +182,7 @@ def test_event_log_keeps_the_bits_of_the_gradient_cells():
 def _with_cell(traj, name, k, value):
     col = array("d", getattr(traj.columns, name))
     col[k] = value
-    return replace(traj, columns=traj.columns._replace(**{name: col}))
+    return traj._replace(columns=traj.columns._replace(**{name: col}))
 
 
 def test_columns_compare_by_their_bits():
@@ -194,7 +193,7 @@ def test_columns_compare_by_their_bits():
     assert zero.entries != negative_zero.entries
     assert zero == _event_log([0], [0.0])
     assert _event_log([0], [math.nan]) == _event_log([0], [math.nan])
-    assert zero != replace(zero, ks=array("l", [0]))  # same values, other typecode
+    assert zero != zero._replace(ks=array("l", [0]))  # same values, other typecode
     for traj, name in ((_true_run(20), "gradient"), (_avg_run(20), "theta_tilde_av")):
         a = _with_cell(traj, name, 7, 0.0)
         b = _with_cell(traj, name, 7, -0.0)
