@@ -19,7 +19,6 @@ from etseek.analysis import (
     event_statistics,
     gradient_expansion,
     lyapunov_sequence,
-    truncated_gradient,
 )
 from etseek.average import (
     AvgRecord,
@@ -38,11 +37,9 @@ from etseek.escore import (
     SimState,
     StepRecord,
     Trajectory,
-    demodulate,
     dither,
     eval_map,
     initial_state,
-    integrate,
     run,
     step,
 )
@@ -50,7 +47,6 @@ from etseek.trigger import (
     AssumptionReport,
     TriggerSpec,
     contraction_increment,
-    measurement_error,
     should_trigger,
     validate_assumption,
 )
@@ -82,20 +78,16 @@ __all__ = [
     "contraction_increment",
     "convergence_envelopes",
     "decay_rate",
-    "demodulate",
     "dither",
     "eval_map",
     "event_statistics",
     "gradient_expansion",
     "initial_state",
-    "integrate",
     "lyapunov_sequence",
-    "measurement_error",
     "min_inter_event_estimate",
     "run",
     "should_trigger",
     "step",
-    "truncated_gradient",
     "validate_assumption",
     "__version__",
 ]

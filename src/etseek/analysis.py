@@ -20,22 +20,6 @@ from etseek.average import AvgTrajectory
 from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
 from etseek.trigger import TriggerSpec, contraction_increment
 
-__all__ = [
-    "DECAY_SLACK",
-    "DecayReport",
-    "EnvelopeCheck",
-    "EnvelopeReport",
-    "EventStats",
-    "ExpansionTerms",
-    "check_decay",
-    "decay_rate",
-    "event_statistics",
-    "gradient_expansion",
-    "lyapunov_sequence",
-    "convergence_envelopes",
-    "truncated_gradient",
-]
-
 DECAY_SLACK = 1e-12
 
 
@@ -99,9 +83,10 @@ def gradient_expansion(map_spec: MapSpec, loop: LoopSpec, k: int,
     quadratic = (a*h/2) sin(w*eps*k) * theta_tilde^2
     residue = (a*q + 3a^3*h/8) sin(w*eps*k) - (a^3*h/8) sin(3*w*eps*k)
 
-    The sum equals demodulate(eval_map(theta)) with theta = theta_star +
-    theta_tilde + dither(k); the identity is algebraically exact for the
-    quadratic map, so disagreement beyond roundoff is a simulator defect.
+    The sum equals the demodulated dither(k) * eval_map(theta) with theta =
+    theta_star + theta_tilde + dither(k); the identity is algebraically
+    exact for the quadratic map, so disagreement beyond roundoff is a
+    simulator defect.
     """
     if k < 0:
         raise ValueError("gradient_expansion requires k >= 0")
@@ -115,13 +100,6 @@ def gradient_expansion(map_spec: MapSpec, loop: LoopSpec, k: int,
         - 0.125 * (a * a * a) * h * math.sin(3.0 * x)
     return ExpansionTerms(delta_k=residue, linear_term=linear,
                           quadratic_term=quadratic)
-
-
-def truncated_gradient(map_spec: MapSpec, loop: LoopSpec, k: int,
-                       theta_tilde: float) -> float:
-    """Expansion total without the term quadratic in the parameter error."""
-    terms = gradient_expansion(map_spec, loop, k, theta_tilde)
-    return terms.linear_term + terms.delta_k
 
 
 def lyapunov_sequence(avg_traj: AvgTrajectory) -> list[float]:
@@ -144,27 +122,37 @@ def check_decay(v_sequence: Sequence[float], map_spec: MapSpec,
     """Verify V[k+1] <= rho*V[k] + slack for every consecutive pair.
 
     Violations become report entries, never exceptions; max_excess is the
-    worst signed overshoot of V[k+1] - rho*V[k] over the slack.
+    worst signed overshoot of V[k+1] - rho*V[k] over the slack. An infinite
+    rho makes every bound inf, which only a NaN or infinite V[k+1] fails.
     """
     rho = decay_rate(map_spec, loop, trig)
     pairs = range(len(v_sequence) - 1)
-    check = _check_envelope("V", (
-        v_sequence[k + 1] - rho * v_sequence[k] - DECAY_SLACK for k in pairs))
+    if rho < math.inf:
+        excesses = (v_sequence[k + 1] - rho * v_sequence[k] - DECAY_SLACK
+                    for k in pairs)
+    else:  # the bound is inf, even where V[k] is 0 and inf * 0 is NaN
+        excesses = (v_sequence[k + 1] - math.inf for k in pairs)
+    check = _check_envelope("V", excesses)
     return DecayReport(rho=rho, checked=len(pairs), passed=check.passed,
                        first_violation_k=check.first_violation_k,
                        max_excess=check.max_excess)
 
 
 def _powers(rho: float, exponents) -> Iterator[float]:
-    """rho ** x for each x in order, ending before the first that overflows.
+    """rho ** x for each x in order, ending before the first that is inf.
 
-    Only rho > 1 overflows, and then every later power does too. The
-    envelope bound is inf from there on and no row can exceed it, so the
-    rows past the last power yielded need no check.
+    A finite rho > 1 overflows (OverflowError), an infinite rho gives inf
+    from x > 0, and every later power does the same. The envelope bound is
+    inf from there on, whatever the power multiplies, and no row can exceed
+    it, so the rows past the last power yielded need no check.
     """
+    inf = math.inf
     try:
         for x in exponents:
-            yield rho ** x
+            power = rho ** x
+            if power == inf:
+                return
+            yield power
     except OverflowError:
         return
 
@@ -197,7 +185,8 @@ def convergence_envelopes(traj: Trajectory | AvgTrajectory,
     magnitudes, with roundoff slack only. For a true trajectory the caller
     supplies offset_constant, the residual-neighborhood radius the analysis
     leaves symbolic: the input envelope carries it additively and the output
-    envelope its square. A bound whose power of rho overflows reads inf.
+    envelope its square. A bound whose power of rho overflows or is inf
+    reads inf.
     """
     if not 0 <= offset_constant < math.inf:
         raise ValueError(

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from etseek import trigger as _trigger
 from etseek.escore import (EventLog, LoopSpec, MapSpec, RowView, check_columns,
-                           event_log, eq_by_bits, trajectory_row)
+                           event_log)
 
 
 class AvgState(NamedTuple):
@@ -65,13 +65,12 @@ class AvgTrajectory(NamedTuple):
     def _check(self):
         check_columns("AvgTrajectory", self.columns)
 
-    __eq__ = eq_by_bits
-    __ne__ = object.__ne__  # tuple's own __ne__ would ignore __eq__
-
     @property
     def records(self) -> RowView:
-        """AvgRecord rows, built only when a row is read."""
-        return RowView(trajectory_row, (AvgRecord,), self.columns)
+        """AvgRecord rows, each built when read; triggered is a bool."""
+        return RowView(
+            lambda k, *cells: AvgRecord(k, *cells[:-1], bool(cells[-1])),
+            self.columns)
 
     def __len__(self) -> int:
         return len(self.columns.g_av)
@@ -88,7 +87,7 @@ def avg_step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """
     c_g = _trigger.contraction_increment(map_spec, loop)
     rho0 = 1.0 - c_g
-    e = _trigger.measurement_error(state.held_g_av, state.g_av)
+    e = state.held_g_av - state.g_av
     fired = _trigger.should_trigger(trig, state.g_av, e)
     if fired:
         held = state.g_av

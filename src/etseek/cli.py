@@ -10,7 +10,6 @@ The report is rendered by one function from the run's RunResult.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import math
 import os
@@ -490,6 +489,8 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only main parses a command line
+
     parser = argparse.ArgumentParser(
         prog="etseek",
         description="Event-triggered extremum seeking: simulate, average, verify.")

@@ -14,7 +14,7 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice
 from typing import NamedTuple
 
 from etseek import trigger as _trigger
@@ -101,35 +101,14 @@ class StepColumns(NamedTuple):
     triggered: array
 
 
-def same_bits(a, b) -> bool:
-    """==, but arrays compare by typecode and bytes and tuples item by item:
-    0.0 and -0.0 differ and a NaN equals itself, as their CSV cells do."""
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(map(same_bits, a, b))
-    if isinstance(a, array) and isinstance(b, array):
-        return a.typecode == b.typecode and a.tobytes() == b.tobytes()
-    return a == b
-
-
-def eq_by_bits(self, other):
-    """__eq__ of the types that hold columns: same type, items same_bits."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return same_bits(self, other)
-
-
 class RowView(Sequence):
     """Read-only rows over equal-length columns, each row built on demand.
 
-    Row i is make(*fixed, i, *values at i): make is a module-level builder,
-    fixed the per-view constants it takes (a record type, a gain). A slice
-    gives a tuple of rows. Two views are equal when they share make and have
-    equal fixed values and same_bits columns, so they build equal rows.
+    Row i is make(i, *values at i); a slice gives a tuple of rows.
     """
 
-    def __init__(self, make, fixed, columns):
+    def __init__(self, make, columns):
         self._make = make
-        self._fixed = fixed
         self._columns = columns
 
     def __len__(self) -> int:
@@ -139,25 +118,10 @@ class RowView(Sequence):
         i = range(len(self))[index]  # bounds and slices as for a tuple
         if isinstance(i, range):
             return tuple(map(self.__getitem__, i))
-        return self._make(*self._fixed, i, *[col[i] for col in self._columns])
+        return self._make(i, *[col[i] for col in self._columns])
 
     def __iter__(self):
-        return map(self._make, *map(repeat, self._fixed), count(),
-                   *self._columns)
-
-    def __eq__(self, other):
-        if type(other) is not RowView:
-            return NotImplemented
-        return same_bits((self._make, self._fixed, self._columns),
-                         (other._make, other._fixed, other._columns))
-
-    __hash__ = None
-
-
-def trajectory_row(record_type, k, *values):
-    """record_type at iteration k; the last value, the fired flag, as a bool."""
-    *values, fired = values
-    return record_type(k, *values, triggered=bool(fired))
+        return map(self._make, count(), *self._columns)
 
 
 def check_columns(owner: str, columns) -> None:
@@ -178,13 +142,12 @@ class Trajectory(NamedTuple):
     def _check(self):
         check_columns("Trajectory", self.columns)
 
-    __eq__ = eq_by_bits
-    __ne__ = object.__ne__  # tuple's own __ne__ would ignore __eq__
-
     @property
     def records(self) -> RowView:
-        """StepRecord rows, built only when a row is read."""
-        return RowView(trajectory_row, (StepRecord,), self.columns)
+        """StepRecord rows, each built when read; triggered is a bool."""
+        return RowView(
+            lambda k, *cells: StepRecord(k, *cells[:-1], bool(cells[-1])),
+            self.columns)
 
     def __len__(self) -> int:
         return len(self.columns.theta_hat)
@@ -226,18 +189,12 @@ class EventLog(NamedTuple):
         if not all(map(operator.lt, self.ks, islice(self.ks, 1, None))):
             raise ValueError("EventLog iterations must be strictly increasing")
 
-    __eq__ = eq_by_bits
-    __ne__ = object.__ne__
-
     @property
     def entries(self) -> RowView:
         """EventEntry rows, built only when a row is read."""
-        return RowView(_event_entry, (self.gain_k,), (self.ks, self.gradients))
-
-
-def _event_entry(gain_k, index, k, gradient):
-    return EventEntry(index=index, k=k, gradient=gradient,
-                      control=-gain_k * gradient)
+        gain_k = self.gain_k
+        return RowView(lambda index, k, g: EventEntry(index, k, g, -gain_k * g),
+                       (self.ks, self.gradients))
 
 
 def eval_map(map_spec: MapSpec, theta: float) -> float:
@@ -251,16 +208,6 @@ def dither(loop: LoopSpec, k: int) -> float:
     return loop.amplitude_a * math.sin(loop.omega * loop.epsilon * k)
 
 
-def demodulate(loop: LoopSpec, k: int, y: float) -> float:
-    """Gradient estimate: the dither value at k times the measured output."""
-    return dither(loop, k) * y
-
-
-def integrate(loop: LoopSpec, theta_hat: float, u: float) -> float:
-    """One explicit-Euler update of the estimate: theta_hat + epsilon*u."""
-    return theta_hat + loop.epsilon * u
-
-
 def initial_state(map_spec: MapSpec, loop: LoopSpec, theta_hat0: float) -> SimState:
     """Fresh state with the origin as a triggering instant.
 
@@ -268,8 +215,8 @@ def initial_state(map_spec: MapSpec, loop: LoopSpec, theta_hat0: float) -> SimSt
     k = 0, so the first step sees a measurement error of exactly zero. The
     input it applies is -gain_k * g0, the control of that initial event.
     """
-    y0 = eval_map(map_spec, theta_hat0 + dither(loop, 0))
-    g0 = demodulate(loop, 0, y0)
+    s0 = dither(loop, 0)
+    g0 = s0 * eval_map(map_spec, theta_hat0 + s0)
     return SimState(k=0, theta_hat=theta_hat0, held_gradient=g0)
 
 
@@ -284,19 +231,17 @@ def step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     construction.
     """
     k = state.k
-    theta = state.theta_hat + dither(loop, k)
+    s = dither(loop, k)
+    theta = state.theta_hat + s
     y = eval_map(map_spec, theta)
-    g = demodulate(loop, k, y)
-    e = _trigger.measurement_error(state.held_gradient, g)
+    g = s * y  # demodulate
+    e = state.held_gradient - g
     fired = _trigger.should_trigger(trig, g, e)
-    if fired:
-        held_g = g
-    else:
-        held_g = state.held_gradient
+    held_g = g if fired else state.held_gradient
     held_u = -loop.gain_k * held_g
     next_state = SimState(
         k=k + 1,
-        theta_hat=integrate(loop, state.theta_hat, held_u),
+        theta_hat=state.theta_hat + loop.epsilon * held_u,  # integrate
         held_gradient=held_g,
     )
     record = StepRecord(k=k, theta_hat=state.theta_hat, theta=theta, y=y,

@@ -73,11 +73,6 @@ class AssumptionReport(NamedTuple):
     alpha_satisfies: bool
 
 
-def measurement_error(held_gradient: float, gradient: float) -> float:
-    """Deviation of the current gradient estimate from the held one."""
-    return held_gradient - gradient
-
-
 def should_trigger(trig: TriggerSpec, gradient: float, error: float) -> bool:
     """True iff sqrt(sigma)*|gradient| - alpha*|error| < 0 (strict)."""
     return math.sqrt(trig.sigma) * abs(gradient) - trig.alpha * abs(error) < 0.0

@@ -22,6 +22,12 @@ REFERENCE_THETA_HAT0 = _REFERENCE.theta_hat0
 REFERENCE_N_ITERS = _REFERENCE.n_iters
 
 
+def column_bytes(columns):
+    """Typecode and bytes of each array: two runs' columns give equal lists
+    only if every cell has the same bits, as their CSV cells would."""
+    return [(col.typecode, col.tobytes()) for col in columns]
+
+
 def reference_specs():
     """Parameter set of the bundled reference configuration."""
     return _REFERENCE.map_spec, _REFERENCE.loop_spec, _REFERENCE.trigger_spec

@@ -13,7 +13,6 @@ from etseek import (
     avg_run,
     check_decay,
     decay_rate,
-    demodulate,
     dither,
     escore,
     eval_map,
@@ -21,7 +20,6 @@ from etseek import (
     gradient_expansion,
     lyapunov_sequence,
     convergence_envelopes,
-    truncated_gradient,
 )
 from helpers import draw_specs, reference_specs
 
@@ -32,7 +30,7 @@ QUADRATIC_K1_TT01 = -0.0003332316195566805
 
 def _demodulated(map_spec, loop, k, theta_tilde):
     theta = map_spec.theta_star + theta_tilde + dither(loop, k)
-    return demodulate(loop, k, eval_map(map_spec, theta))
+    return dither(loop, k) * eval_map(map_spec, theta)
 
 
 def test_expansion_vanishes_at_origin_iteration():
@@ -87,15 +85,19 @@ def test_expansion_exactness_property():
         assert abs(total - g) <= 1e-12 * max(1.0, abs(g))
 
 
+def _truncated(terms):
+    """The expansion without its term quadratic in the parameter error."""
+    return terms.linear_term + terms.delta_k
+
+
 def test_truncation_drops_only_the_quadratic_term():
     map_spec, loop, _ = reference_specs()
-    assert truncated_gradient(map_spec, loop, 9, 0.0) == \
-        gradient_expansion(map_spec, loop, 9, 0.0).total()
-    assert truncated_gradient(map_spec, loop, 0, 3.3) == \
-        gradient_expansion(map_spec, loop, 0, 3.3).total()
+    for k, tt in ((9, 0.0), (0, 3.3)):
+        terms = gradient_expansion(map_spec, loop, k, tt)
+        assert _truncated(terms) == terms.total()
     terms = gradient_expansion(map_spec, loop, 1, 0.1)
     assert terms.quadratic_term == pytest.approx(QUADRATIC_K1_TT01, rel=1e-12)
-    residual = terms.total() - truncated_gradient(map_spec, loop, 1, 0.1)
+    residual = terms.total() - _truncated(terms)
     assert residual == pytest.approx(QUADRATIC_K1_TT01, rel=1e-10)
 
 
@@ -106,7 +108,7 @@ def test_truncation_residual_property():
         k = rng.randrange(0, 10_001)
         tt = rng.uniform(-10.0, 10.0)
         full = gradient_expansion(map_spec, loop, k, tt)
-        residual = full.total() - truncated_gradient(map_spec, loop, k, tt)
+        residual = full.total() - _truncated(full)
         formula = (0.5 * loop.amplitude_a * map_spec.h_star
                    * math.sin(loop.omega * loop.epsilon * k) * (tt * tt))
         assert abs(residual - formula) <= 1e-14
@@ -237,6 +239,39 @@ def test_envelopes_overflowing_bound_reads_inf():
     assert report.passed
     avg = avg_run(map_spec, loop, trig, -2.5, 300)
     assert convergence_envelopes(avg, map_spec, loop, trig).rho == report.rho
+
+
+def test_checks_with_a_huge_or_infinite_rho():
+    # a gain of -1e150 gives rho = 5.95e292 and one of -1e300 overflows
+    # rho0 ** 2, so rho = inf; started at the optimum, each envelope's initial
+    # magnitude and every V is 0, and inf * 0.0 is NaN. A bound whose power
+    # of rho is inf reads inf, whatever it multiplies, so every check passes.
+    map_spec, loop, trig = reference_specs()
+    for gain_k in (-1e150, -1e300):
+        fast = loop._replace(gain_k=gain_k)
+        traj, _ = escore.run(map_spec, fast, trig, map_spec.theta_star, 50)
+        avg = avg_run(map_spec, fast, trig, 0.0, 50)
+        true_env = convergence_envelopes(traj, map_spec, fast, trig,
+                                         offset_constant=0.3)
+        avg_env = convergence_envelopes(avg, map_spec, fast, trig)
+        decay = check_decay(lyapunov_sequence(avg), map_spec, fast, trig)
+        rho = decay.rho
+        assert rho == true_env.rho == avg_env.rho
+        assert rho == (math.inf if gain_k == -1e300
+                       else pytest.approx(5.95e292, rel=1e-3))
+        assert true_env.passed and avg_env.passed
+        assert (decay.passed, decay.checked) == (True, 49)
+    # a NaN row still fails: V[1] is NaN, so its pair fails, and the pair
+    # after it has an inf bound
+    report = check_decay([0.0, math.nan, 1.0, 0.0], map_spec, fast, trig)
+    assert (report.passed, report.first_violation_k, report.max_excess) == \
+        (False, 0, 0.0)
+    # y[0] = -inf, so the y envelope's row 0, whose bound is finite, is NaN
+    traj, _ = escore.run(map_spec, fast, trig, 1e200, 50)
+    y_check = convergence_envelopes(traj, map_spec, fast, trig,
+                                    offset_constant=0.3).checks[1]
+    assert (y_check.name, y_check.passed, y_check.first_violation_k) == \
+        ("y", False, 0)
 
 
 def test_envelope_bound_sequence_non_increasing():

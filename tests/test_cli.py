@@ -596,6 +596,26 @@ def test_main_unwritable_output_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_run_at_the_optimum_passes_with_an_infinite_rho(tmp_path, capsys):
+    # loop.k = -1e300 overflows rho0 ** 2, so rho = inf; started at the
+    # optimum, every magnitude a check starts from is 0, and each bound
+    # reads inf, not inf * 0.0 = nan
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(_edit(_edit(REFERENCE_CFG.read_text(), "k = -240.0",
+                               "k = -1e300"),
+                         "theta_hat0 = 0.5", "theta_hat0 = 3.0"))
+    assert main(["run", "--config", str(cfg), "--iters", "50",
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = _read_report(tmp_path / "out" / "report.txt")
+    assert report["envelopes: true loop (offset_constant = 0.3)"] == {
+        "rho": math.inf, "theta": "pass", "y": "pass"}
+    assert report["decay: average loop"] == {
+        "rho": math.inf, "checked": 49, "passed": True}
+    assert report["envelopes: average loop"] == {
+        "rho": math.inf, "g_av": "pass", "theta_tilde_av": "pass"}
+
+
 def test_main_sweep_end_to_end(tmp_path, capsys):
     assert main(["sweep", "--config", str(REFERENCE_CFG),
                  "--param", "trigger.sigma", "--values", "0.3,0.5,0.7",
@@ -639,11 +659,13 @@ def test_import_etseek_leaves_the_cli_unloaded():
 
 def test_import_etseek_cli_loads_no_dataclasses_or_inspect():
     # the package's types are NamedTuples; dataclasses would pull in inspect
-    # and its parsers, most of the start-up of each short-lived etseek call
+    # and its parsers, most of the start-up of each short-lived etseek call.
+    # argparse (with gettext) loads only when main builds its parser.
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, etseek.cli; print(*sorted(m for m in ('dataclasses', "
-         "'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules))"],
+         "'inspect', 'ast', 'dis', 'tokenize', 'argparse') "
+         "if m in sys.modules))"],
         capture_output=True, text=True, env=_src_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout == "\n"

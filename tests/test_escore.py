@@ -8,12 +8,10 @@ from etseek import (
     LoopSpec,
     MapSpec,
     TriggerSpec,
-    demodulate,
     dither,
     escore,
     eval_map,
     initial_state,
-    integrate,
     run,
     step,
 )
@@ -23,6 +21,7 @@ from helpers import (
     assert_event_errors_reset_to_zero,
     assert_hold_constant_between_events,
     assert_non_events_satisfy_condition,
+    column_bytes,
     finite_true_runs,
     reference_specs,
 )
@@ -69,28 +68,56 @@ def test_dither_examples():
     assert dither(loop, 5) == DITHER_K5
 
 
+def _gradient_row(loop, k, y):
+    """step's row at iteration k, from an estimate whose dithered input
+    theta sits at the optimum of a map of value y there."""
+    theta = 0.0 + dither(loop, k)  # 0.0 + s is s exactly
+    map_spec = MapSpec(q_star=y, h_star=-0.7, theta_star=theta)
+    trig = TriggerSpec(sigma=0.7, alpha=0.74)
+    state = escore.SimState(k=k, theta_hat=0.0, held_gradient=1.0)
+    return step(map_spec, loop, trig, state)[1]
+
+
 def test_demodulate_examples():
+    # step demodulates: the gradient is the dither value at k times y
     _, loop, _ = reference_specs()
-    assert demodulate(loop, 0, -5.0) == 0.0
-    assert demodulate(loop, 1, 2.0) == 2.0 * DITHER_K1
-    assert demodulate(loop, 1, 2.0) == pytest.approx(0.19041806831810315, abs=0)
+    rec = _gradient_row(loop, 0, -5.0)
+    assert (rec.y, rec.gradient) == (-5.0, 0.0)
+    rec = _gradient_row(loop, 1, 2.0)
+    assert rec.y == 2.0
+    assert rec.gradient == 2.0 * DITHER_K1
+    assert rec.gradient == pytest.approx(0.19041806831810315, abs=0)
     # omega*eps*k = pi/2 makes the sine exactly 1 in double precision
     quarter = LoopSpec(amplitude_a=0.1, omega=math.pi / 2.0, epsilon=1.0,
                        gain_k=1.0)
-    assert demodulate(quarter, 1, 1.65) == pytest.approx(0.165, abs=1e-16)
+    rec = _gradient_row(quarter, 1, 1.65)
+    assert rec.y == 1.65
+    assert rec.gradient == pytest.approx(0.165, abs=1e-16)
+
+
+def _integrated(theta_hat, u):
+    """theta_hat after a reference-loop step that applied control u."""
+    map_spec, loop, _ = reference_specs()
+    loop = loop._replace(gain_k=-1.0)  # the control is the held gradient
+    # k = 1 has a nonzero gradient, which so small an alpha never fires on
+    trig = TriggerSpec(sigma=0.7, alpha=1e-300)
+    state = escore.SimState(k=1, theta_hat=theta_hat, held_gradient=u)
+    nxt, rec = step(map_spec, loop, trig, state)
+    assert (rec.triggered, rec.control) == (False, u)
+    return nxt.theta_hat
 
 
 def test_integrate_examples():
-    _, loop, _ = reference_specs()
-    assert integrate(loop, 0.5, 0.0) == 0.5
-    assert integrate(loop, 0.5, 1.0) == pytest.approx(0.68, abs=1e-15)
-    assert integrate(loop, 0.0, -5.0) == pytest.approx(-0.9, abs=1e-15)
+    # step integrates: theta_hat + epsilon * u, with epsilon = 0.18
+    assert _integrated(0.5, 0.0) == 0.5
+    assert _integrated(0.5, 1.0) == pytest.approx(0.68, abs=1e-15)
+    assert _integrated(0.0, -5.0) == pytest.approx(-0.9, abs=1e-15)
 
 
 def test_initial_state_seeds_hold_from_origin():
     map_spec, loop, trig = reference_specs()
     state = initial_state(map_spec, loop, REFERENCE_THETA_HAT0)
-    g0 = demodulate(loop, 0, eval_map(map_spec, REFERENCE_THETA_HAT0))
+    g0 = dither(loop, 0) * eval_map(map_spec, REFERENCE_THETA_HAT0)
     assert state.k == 0
     assert state.held_gradient == g0
     assert step(map_spec, loop, trig, state)[1].control == -loop.gain_k * g0
@@ -105,7 +132,7 @@ def test_first_step_has_zero_error_and_no_fire():
     assert rec.triggered is False  # strict inequality cannot fire on e = 0
     assert rec.control == -loop.gain_k * state.held_gradient
     assert nxt.k == 1
-    assert nxt.theta_hat == integrate(loop, state.theta_hat, rec.control)
+    assert nxt.theta_hat == state.theta_hat + loop.epsilon * rec.control
 
 
 def test_step_composes_the_documented_operations():
@@ -114,14 +141,14 @@ def test_step_composes_the_documented_operations():
     nxt, rec = step(map_spec, loop, trig, state)
     theta = state.theta_hat + dither(loop, 7)
     y = eval_map(map_spec, theta)
-    g = demodulate(loop, 7, y)
+    g = dither(loop, 7) * y
     assert rec.theta == theta
     assert rec.y == y
     assert rec.gradient == g
     assert rec.error == state.held_gradient - g
     assert rec.theta_hat == state.theta_hat
     assert rec.control == -loop.gain_k * (g if rec.triggered else 0.02)
-    assert nxt.theta_hat == integrate(loop, state.theta_hat, rec.control)
+    assert nxt.theta_hat == state.theta_hat + loop.epsilon * rec.control
 
 
 def test_run_single_iteration():
@@ -140,10 +167,11 @@ def test_run_rejects_empty_horizon():
 
 def test_run_is_deterministic():
     map_spec, loop, trig = reference_specs()
-    first = run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 300)
-    second = run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 300)
-    assert first[0].records == second[0].records
-    assert first[1].entries == second[1].entries
+    (traj, log), (again, log_again) = (
+        run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 300) for _ in range(2))
+    assert column_bytes(traj.columns) == column_bytes(again.columns)
+    assert (column_bytes((log.ks, log.gradients))
+            == column_bytes((log_again.ks, log_again.gradients)))
 
 
 def test_records_are_contiguous_from_zero():

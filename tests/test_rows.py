@@ -5,8 +5,9 @@ a read-only sequence that builds a StepRecord or AvgRecord only for the row
 asked for. EventLog holds the (ks, gradients) event columns, which
 escore.event_log reads off a run's gradient and fired columns; entries
 builds an EventEntry the same way. These tests pin that records and
-entries behave as read-only sequences (indexing, slicing, iteration,
-equality), and the column invariants.
+entries behave as read-only sequences (indexing, slicing, iteration, len),
+the reads the benchmark under perfbench/ makes of them, and the column
+invariants. Trajectories and logs compare as the tuples of arrays they are.
 """
 
 import math
@@ -15,9 +16,9 @@ from array import array
 import pytest
 
 from etseek import (AvgRecord, AvgTrajectory, EventEntry, EventLog, StepRecord,
-                    Trajectory, avg_run, run)
+                    Trajectory, average, avg_run, escore, run)
 from etseek.escore import event_log
-from helpers import REFERENCE_THETA_HAT0, reference_specs
+from helpers import REFERENCE_THETA_HAT0, column_bytes, reference_specs
 
 
 def _true_run(n, **trigger_changes):
@@ -69,12 +70,39 @@ def test_row_view_fields_read_the_columns():
             tuple(col[r.k] for col in cols[:-1])
 
 
-def test_row_views_compare_by_value():
-    assert _true_run(300).records == _true_run(300).records
-    assert _avg_run(300).records == _avg_run(300).records
-    assert _true_run(300).records != _true_run(301).records
-    assert _true_run(300).records != _true_run(300, alpha=2.0).records
-    assert _avg_run(5).records != _true_run(5).records
+def test_benchmark_reads_of_the_library():
+    # the reads perfbench/worker.py (_fingerprint, _library_rows) and
+    # perfbench/tracer.py (_count_true_run, _count_avg_run) make of a run:
+    # the row layer's whole contract, which the benchmark cannot follow if
+    # it changes
+    map_spec, loop, trig = reference_specs()
+    map_spec = map_spec._replace(q_star=0.0)  # fires on many rows
+    loop = loop._replace(gain_k=-20.0)
+    trig = trig._replace(alpha=0.9)
+    traj, log = escore.run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 500)
+    avg = average.avg_run(map_spec, loop, trig, -2.5, 500)
+    cols, acols = traj.columns, avg.columns
+    assert len(traj) == len(avg) == 500
+    assert traj.records[-1].theta_hat == cols.theta_hat[-1]
+    assert avg.records[-1].g_av == acols.g_av[-1]
+    rows = [(r.k, r.theta_hat, r.theta, r.y, r.gradient, r.error, r.control,
+             r.triggered) for r in traj.records]
+    assert StepRecord._fields == ("k", "theta_hat", "theta", "y", "gradient",
+                                  "error", "control", "triggered")
+    assert rows == [(k, *cells[:-1], bool(cells[-1]))
+                    for k, cells in enumerate(zip(*cols))]
+    assert all(type(row[-1]) is bool for row in rows)
+    assert sum(row[-1] for row in rows) > 300
+    avg_rows = [(r.k, r.g_av, r.theta_tilde_av, r.error, r.triggered)
+                for r in avg.records]
+    assert avg_rows == [(k, *cells[:-1], bool(cells[-1]))
+                        for k, cells in enumerate(zip(*acols))]
+    assert all(type(row[-1]) is bool for row in avg_rows)
+    events = [(e.index, e.k, e.gradient, e.control) for e in log.entries]
+    assert len(log.entries) == len(events) == 1 + sum(cols.triggered)
+    for index, (l, k, gradient, control) in enumerate(events):
+        assert (l, k, gradient) == (index, log.ks[index], cols.gradient[k])
+        assert control == -loop.gain_k * gradient == cols.control[k]
 
 
 def test_trajectories_reject_columns_of_unequal_length():
@@ -99,6 +127,10 @@ def _event_log(ks, gradients=None, gain_k=-240.0):
     gradients = [0.5 * k for k in ks] if gradients is None else gradients
     return EventLog(ks=array("q", ks), gradients=array("d", gradients),
                     gain_k=gain_k, epsilon=0.18)
+
+
+def _log_bytes(log):
+    return column_bytes((log.ks, log.gradients))
 
 
 def test_event_log_rejects_bad_columns():
@@ -137,10 +169,11 @@ def test_event_logs_of_identical_runs_compare_equal():
     traj, log = _true_run_and_log(300, alpha=2.0)
     _, again = _true_run_and_log(300, alpha=2.0)
     assert len(log.entries) > 2
-    assert log == again and log.entries == again.entries
-    assert log.entries != _true_run_and_log(300)[1].entries
-    assert (_event_log([0, 3]).entries
-            != _event_log([0, 3], gain_k=-20.0).entries)
+    assert _log_bytes(log) == _log_bytes(again)
+    assert list(log.entries) == list(again.entries)
+    assert list(log.entries) != list(_true_run_and_log(300)[1].entries)
+    assert (list(_event_log([0, 3]).entries)
+            != list(_event_log([0, 3], gain_k=-20.0).entries))
     # each entry holds what the trajectory applied from its instant on
     for entry in log.entries:
         row = traj.records[entry.k]
@@ -185,18 +218,20 @@ def _with_cell(traj, name, k, value):
     return traj._replace(columns=traj.columns._replace(**{name: col}))
 
 
-def test_columns_compare_by_their_bits():
-    # 0.0 and -0.0 are == but write different CSV cells; a NaN is not == to
-    # itself but writes the same cell every time
+def test_trajectories_and_logs_compare_as_tuples_of_arrays():
+    # arrays compare cell by cell with ==: 0.0 equals -0.0 although their
+    # CSV cells differ, and a NaN cell equals no other NaN; column_bytes
+    # tells both apart
     zero, negative_zero = _event_log([0], [0.0]), _event_log([0], [-0.0])
-    assert zero != negative_zero
-    assert zero.entries != negative_zero.entries
-    assert zero == _event_log([0], [0.0])
-    assert _event_log([0], [math.nan]) == _event_log([0], [math.nan])
-    assert zero != zero._replace(ks=array("l", [0]))  # same values, other typecode
-    for traj, name in ((_true_run(20), "gradient"), (_avg_run(20), "theta_tilde_av")):
+    assert zero == negative_zero
+    assert _log_bytes(zero) != _log_bytes(negative_zero)
+    nan, other_nan = _event_log([0], [math.nan]), _event_log([0], [math.nan])
+    assert nan != other_nan and _log_bytes(nan) == _log_bytes(other_nan)
+    for traj, name in ((_true_run(20), "gradient"),
+                       (_avg_run(20), "theta_tilde_av")):
         a = _with_cell(traj, name, 7, 0.0)
         b = _with_cell(traj, name, 7, -0.0)
-        assert a != b and a.records != b.records
-        assert a == _with_cell(traj, name, 7, 0.0)
-        assert a.records == _with_cell(traj, name, 7, 0.0).records
+        assert a == b and a != _with_cell(traj, name, 7, 1.0)
+        assert column_bytes(a.columns) != column_bytes(b.columns)
+        assert (_with_cell(traj, name, 7, math.nan)
+                != _with_cell(traj, name, 7, math.nan))

@@ -7,12 +7,13 @@ import struct
 import pytest
 
 from etseek import (
+    AvgState,
     LoopSpec,
     MapSpec,
     TriggerSpec,
+    avg_step,
     contraction_increment,
     decay_rate,
-    measurement_error,
     should_trigger,
     validate_assumption,
 )
@@ -39,9 +40,12 @@ def test_spec_invariants():
 
 
 def test_measurement_error_examples():
-    assert measurement_error(0.37, 0.37) == 0.0
-    assert measurement_error(1.0, 0.4) == 0.6
-    assert measurement_error(0.0, -0.25) == 0.25
+    # the error the trigger sees is the held gradient minus the current one
+    specs = reference_specs()
+    for held, g, error in ((0.37, 0.37, 0.0), (1.0, 0.4, 0.6),
+                           (0.0, -0.25, 0.25)):
+        state = AvgState(k=0, g_av=g, held_g_av=held)
+        assert avg_step(*specs, state)[1].error == error
 
 
 def test_should_trigger_examples():
