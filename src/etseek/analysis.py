@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from etseek.average import AvgTrajectory
@@ -143,8 +143,9 @@ def _powers(rho: float, exponents) -> Iterator[float]:
 
     A finite rho > 1 overflows (OverflowError), an infinite rho gives inf
     from x > 0, and every later power does the same. The envelope bound is
-    inf from there on, whatever the power multiplies, and no row can exceed
-    it, so the rows past the last power yielded need no check.
+    inf from there on, whatever the power multiplies, so the caller checks
+    each later row against inf: a finite row passes, a NaN or infinite one
+    fails.
     """
     inf = math.inf
     try:
@@ -174,6 +175,18 @@ def _check_envelope(name, excesses) -> EnvelopeCheck:
                          first_violation_k=first, max_excess=worst)
 
 
+def _envelope(name, column, center, powers, factor, offset) -> EnvelopeCheck:
+    """Check |x[k] - center| <= p[k] * factor * |x[0] - center| + offset.
+
+    Each row past the last power is checked against an inf bound.
+    """
+    scale = factor * abs(column[0] - center)
+    rows = iter(column)  # zip takes a power first, so no row is skipped
+    return _check_envelope(name, chain(
+        (abs(x - center) - (p * scale + offset) for p, x in zip(powers, rows)),
+        (abs(x - center) - math.inf for x in rows)))
+
+
 def convergence_envelopes(traj: Trajectory | AvgTrajectory,
                           map_spec: MapSpec, loop: LoopSpec,
                           trig: TriggerSpec,
@@ -186,7 +199,7 @@ def convergence_envelopes(traj: Trajectory | AvgTrajectory,
     supplies offset_constant, the residual-neighborhood radius the analysis
     leaves symbolic: the input envelope carries it additively and the output
     envelope its square. A bound whose power of rho overflows or is inf
-    reads inf.
+    reads inf, and its rows are still checked.
     """
     if not 0 <= offset_constant < math.inf:
         raise ValueError(
@@ -194,35 +207,17 @@ def convergence_envelopes(traj: Trajectory | AvgTrajectory,
     rho = decay_rate(map_spec, loop, trig)
     n = len(traj)
     cols = traj.columns
+    # rows: (name, column, center, powers of rho, factor, offset)
+    half = _powers(rho, (0.5 * k for k in range(n)))
     if isinstance(traj, AvgTrajectory):
-        # both checks read the same powers: computing them once is faster
-        half_powers = list(_powers(rho, (0.5 * k for k in range(n))))
-        g0 = abs(cols.g_av[0])
-        t0 = abs(cols.theta_tilde_av[0])
-        checks = (
-            _check_envelope("g_av", (
-                abs(g) - (p * g0 + DECAY_SLACK)
-                for g, p in zip(cols.g_av, half_powers))),
-            _check_envelope("theta_tilde_av", (
-                abs(t) - (p * t0 + DECAY_SLACK)
-                for t, p in zip(cols.theta_tilde_av, half_powers))),
-        )
+        half = list(half)  # both checks read these: computing them once is faster
+        table = (("g_av", cols.g_av, 0.0, half, 1.0, DECAY_SLACK),
+                 ("theta_tilde_av", cols.theta_tilde_av, 0.0, half, 1.0, DECAY_SLACK))
     else:
-        theta_star = map_spec.theta_star
-        q_star = map_spec.q_star
-        th0 = abs(cols.theta[0] - theta_star)
-        y0 = abs(cols.y[0] - q_star)
-        off2 = offset_constant * offset_constant
-        checks = (
-            _check_envelope("theta", (
-                abs(theta - theta_star) - (p * th0 + offset_constant)
-                for theta, p in zip(cols.theta,
-                                    _powers(rho, (0.5 * k for k in range(n)))))),
-            _check_envelope("y", (
-                abs(y - q_star) - (2.0 * p * y0 + off2)
-                for y, p in zip(cols.y, _powers(rho, range(n))))),
-        )
-    return EnvelopeReport(rho=rho, checks=checks)
+        table = (("theta", cols.theta, map_spec.theta_star, half, 1.0, offset_constant),
+                 ("y", cols.y, map_spec.q_star, _powers(rho, range(n)), 2.0,
+                  offset_constant * offset_constant))
+    return EnvelopeReport(rho=rho, checks=tuple(_envelope(*row) for row in table))
 
 
 def event_statistics(log: EventLog) -> EventStats:

@@ -442,8 +442,8 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
     output directory; summary.csv collects the true-loop event economy, the
     final input error, the average-loop decay verdict, and the entry's rho0.
     Each value, stripped of whitespace, names its entry directory. All are
-    validated before anything runs; two that name one directory or parse to
-    one value are rejected.
+    validated before anything runs; two that parse to one value are
+    rejected, and so any two that name one directory.
     """
     if param not in SWEEPABLE:
         raise ConfigError(
@@ -453,25 +453,21 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
         raise ConfigError("sweep requires at least one value")
 
     base = config.flat() | {"run.mode": "both"}
-    entries, tokens_of = {}, {}  # out_dir: entry config; value: its token
+    entries, tokens_of = [], {}  # entry configs; value: its token
     for token in tokens:
-        out_dir = Path(config.out_dir) / token
-        if out_dir in entries:
-            raise ConfigError(
-                f"{param} = {token}: entry directory {out_dir} is named twice")
         try:
-            entries[out_dir] = _build_config(
-                base | {param: token, "run.out_dir": str(out_dir)})
+            entries.append(_build_config(base | {
+                param: token, "run.out_dir": str(Path(config.out_dir) / token)}))
         except ConfigError as exc:
             raise ConfigError(f"{param} = {token}: {exc}") from exc
-        value = entries[out_dir].flat()[param]
+        value = entries[-1].flat()[param]
         if value in tokens_of:
             raise ConfigError(f"{param} = {token}: the same value as "
                               f"{param} = {tokens_of[value]}")
         tokens_of[value] = token
 
     rows = []
-    for entry in entries.values():
+    for entry in entries:
         result = run_experiment(entry)
         final_error = abs(result.final_theta - entry.map_spec.theta_star)
         stats = result.event_stats

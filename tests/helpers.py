@@ -11,6 +11,7 @@ finiteness filter. Draws are seeded, never time-dependent.
 
 import math
 import random
+from itertools import chain
 from pathlib import Path
 
 from etseek import LoopSpec, MapSpec, TriggerSpec, escore
@@ -50,8 +51,8 @@ def draw_specs(rng):
 
 
 def _finite(traj):
-    return all(math.isfinite(r.theta_hat) and math.isfinite(r.gradient)
-               and math.isfinite(r.error) for r in traj.records)
+    cols = traj.columns
+    return all(map(math.isfinite, chain(cols.theta_hat, cols.gradient, cols.error)))
 
 
 def finite_true_runs(seed, count, n_iters=120):
@@ -75,29 +76,32 @@ def finite_true_runs(seed, count, n_iters=120):
 # by construction, not within tolerance.
 
 def assert_hold_constant_between_events(loop, traj, log):
-    boundaries = [e.k for e in log.entries] + [len(traj.records)]
-    for entry, start, end in zip(log.entries, boundaries, boundaries[1:]):
-        assert entry.control == -loop.gain_k * entry.gradient
+    assert log.gain_k == loop.gain_k  # so each event held -gain_k * gradient
+    control = traj.columns.control
+    boundaries = [*log.ks, len(traj)]
+    for gradient, start, end in zip(log.gradients, boundaries, boundaries[1:]):
+        held = -loop.gain_k * gradient
         for k in range(start, end):
-            assert traj.records[k].control == entry.control
+            assert control[k] == held
 
 
 def assert_event_errors_reset_to_zero(trig, traj, log):
-    assert traj.records[0].error == 0.0
-    for entry in log.entries:
-        rec = traj.records[entry.k]
-        assert rec.gradient == entry.gradient
-        if entry.k > 0:
-            assert rec.triggered
+    cols = traj.columns
+    assert cols.error[0] == 0.0
+    for k, gradient in zip(log.ks, log.gradients):
+        assert cols.gradient[k] == gradient
+        if k > 0:
+            assert cols.triggered[k]
             # pre-reset error satisfies the fired condition; the reset makes
             # the recomputed error exactly zero
-            assert (math.sqrt(trig.sigma) * abs(rec.gradient)
-                    - trig.alpha * abs(rec.error) < 0.0)
-            assert entry.gradient - rec.gradient == 0.0
+            assert (math.sqrt(trig.sigma) * abs(cols.gradient[k])
+                    - trig.alpha * abs(cols.error[k]) < 0.0)
+            assert gradient - cols.gradient[k] == 0.0
 
 
 def assert_non_events_satisfy_condition(trig, traj):
     root_sigma = math.sqrt(trig.sigma)
-    for rec in traj.records:
-        if not rec.triggered:
-            assert root_sigma * abs(rec.gradient) - trig.alpha * abs(rec.error) >= 0.0
+    cols = traj.columns
+    for g, e, fired in zip(cols.gradient, cols.error, cols.triggered):
+        if not fired:
+            assert root_sigma * abs(g) - trig.alpha * abs(e) >= 0.0

@@ -266,10 +266,14 @@ def test_checks_with_a_huge_or_infinite_rho():
     report = check_decay([0.0, math.nan, 1.0, 0.0], map_spec, fast, trig)
     assert (report.passed, report.first_violation_k, report.max_excess) == \
         (False, 0, 0.0)
-    # y[0] = -inf, so the y envelope's row 0, whose bound is finite, is NaN
+    # y[0] = -inf, so the y envelope's row 0, whose bound is finite, is NaN;
+    # theta is NaN from row 1, past the last finite power, and a NaN row
+    # fails against an inf bound too
     traj, _ = escore.run(map_spec, fast, trig, 1e200, 50)
-    y_check = convergence_envelopes(traj, map_spec, fast, trig,
-                                    offset_constant=0.3).checks[1]
+    theta_check, y_check = convergence_envelopes(traj, map_spec, fast, trig,
+                                                 offset_constant=0.3).checks
+    assert math.isnan(traj.columns.theta[1])
+    assert theta_check == ("theta", False, 1, 0.0)
     assert (y_check.name, y_check.passed, y_check.first_violation_k) == \
         ("y", False, 0)
 

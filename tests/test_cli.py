@@ -273,8 +273,9 @@ def test_sweep_validates_all_values_before_running(tmp_path):
             ("run.n_iters", ["0"], r"run.n_iters must be >= 1"),
             ("run.offset_constant", ["-1"],
              r"run.offset_constant must be finite and >= 0"),
+            # one directory, named by two tokens once stripped
             ("trigger.alpha", ["0.74", "0.9", " 0.74"],
-             r"trigger.alpha = 0.74: entry directory .*0.74 is named twice"),
+             r"trigger.alpha = 0.74: the same value as trigger.alpha = 0.74$"),
             # two directories, one experiment: summary.csv could not tell
             # their rows apart
             ("trigger.alpha", ["0.9", "0.74", "0.90"],
@@ -614,6 +615,20 @@ def test_main_run_at_the_optimum_passes_with_an_infinite_rho(tmp_path, capsys):
         "rho": math.inf, "checked": 49, "passed": True}
     assert report["envelopes: average loop"] == {
         "rho": math.inf, "g_av": "pass", "theta_tilde_av": "pass"}
+
+
+def test_run_at_the_optimum_passes_where_twice_a_power_overflows(tmp_path):
+    # loop.k = -4890 gives rho = 1.4994, and rho ** 1751 is finite while
+    # twice it overflows; started at the optimum, y[0] - q_star is 0, so the
+    # y bound there is the offset alone, not inf * 0.0 = nan
+    text = _edit(_edit(REFERENCE_CFG.read_text(), "k = -240.0", "k = -4890.0"),
+                 "theta_hat0 = 0.5", "theta_hat0 = 3.0")
+    result = run_experiment(parse_config(text)._replace(
+        n_iters=3000, mode="true-loop", out_dir=str(tmp_path / "out")))
+    assert result.envelopes.checks == (("theta", True, None, 0.0),
+                                       ("y", True, None, 0.0))
+    assert _read_report(result.report_path)[
+        "envelopes: true loop (offset_constant = 0.3)"]["y"] == "pass"
 
 
 def test_main_sweep_end_to_end(tmp_path, capsys):

@@ -32,28 +32,6 @@ DITHER_K1 = 0.09520903415905158
 DITHER_K5 = 0.0016813900484349714
 
 
-def test_spec_construction_errors():
-    with pytest.raises(ValueError, match="h_star must be nonzero"):
-        MapSpec(q_star=2.0, h_star=0.0, theta_star=3.0)
-    with pytest.raises(ValueError, match="amplitude_a must be > 0"):
-        LoopSpec(amplitude_a=0.0, omega=7.0, epsilon=0.18, gain_k=-240.0)
-    with pytest.raises(ValueError, match="omega must be > 0"):
-        LoopSpec(amplitude_a=0.1, omega=-1.0, epsilon=0.18, gain_k=-240.0)
-    with pytest.raises(ValueError, match="epsilon must be > 0"):
-        LoopSpec(amplitude_a=0.1, omega=7.0, epsilon=0.0, gain_k=-240.0)
-    with pytest.raises(ValueError, match="gain_k must be nonzero"):
-        LoopSpec(amplitude_a=0.1, omega=7.0, epsilon=0.18, gain_k=0.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="MapSpec.q_star must be finite"):
-            MapSpec(q_star=bad, h_star=-0.7, theta_star=3.0)
-        with pytest.raises(ValueError, match="MapSpec.theta_star must be finite"):
-            MapSpec(q_star=2.0, h_star=-0.7, theta_star=bad)
-        with pytest.raises(ValueError, match="LoopSpec.omega must be finite"):
-            LoopSpec(amplitude_a=0.1, omega=bad, epsilon=0.18, gain_k=-240.0)
-        with pytest.raises(ValueError, match="LoopSpec.gain_k must be finite"):
-            LoopSpec(amplitude_a=0.1, omega=7.0, epsilon=0.18, gain_k=bad)
-
-
 def test_eval_map_examples():
     map_spec = MapSpec(q_star=2.0, h_star=-0.7, theta_star=3.0)
     assert eval_map(map_spec, 3.0) == 2.0

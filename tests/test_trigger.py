@@ -23,22 +23,6 @@ from helpers import draw_specs, reference_specs
 ROOT_SIGMA_07 = 0.8366600265340756
 
 
-def test_spec_invariants():
-    with pytest.raises(ValueError, match=r"sigma must lie in \(0,1\)"):
-        TriggerSpec(sigma=0.0, alpha=0.5)
-    with pytest.raises(ValueError, match=r"sigma must lie in \(0,1\)"):
-        TriggerSpec(sigma=1.0, alpha=0.5)
-    with pytest.raises(ValueError, match="alpha must be > 0"):
-        TriggerSpec(sigma=0.5, alpha=0.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=r"sigma must lie in \(0,1\)"):
-            TriggerSpec(sigma=bad, alpha=0.5)
-        with pytest.raises(ValueError, match="alpha must be finite"):
-            TriggerSpec(sigma=0.5, alpha=bad)
-    spec = TriggerSpec(sigma=0.7, alpha=0.74)
-    assert spec.sigma == 0.7 and spec.alpha == 0.74
-
-
 def test_measurement_error_examples():
     # the error the trigger sees is the held gradient minus the current one
     specs = reference_specs()

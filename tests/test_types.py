@@ -17,36 +17,70 @@ from etseek import analysis, avg_run, run
 from helpers import REFERENCE_THETA_HAT0, reference_specs
 
 
+def _case(value, changes, message, tag=""):
+    """One rejected change, named by its type and changed fields, plus a tag
+    that tells it from an earlier case that changes the same fields."""
+    return pytest.param(value, changes, message,
+                        id=f"{type(value).__name__}.{'+'.join(changes)}{tag}")
+
+
 def _rejected_changes():
     """(a valid value, field changes its constructor rejects, the message)."""
     map_spec, loop, trig = reference_specs()
     traj, log = run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 20)
     avg = avg_run(map_spec, loop, trig, -2.5, 20)
     cols, acols = traj.columns, avg.columns
+    nan, inf = math.nan, math.inf
     return [
-        (map_spec, {"h_star": 0.0}, "MapSpec.h_star must be nonzero"),
-        (map_spec, {"q_star": math.nan}, "MapSpec.q_star must be finite"),
-        (loop, {"epsilon": 0.0}, "LoopSpec.epsilon must be > 0"),
-        (loop, {"omega": math.inf}, "LoopSpec.omega must be finite"),
-        (trig, {"sigma": 1.0}, r"TriggerSpec.sigma must lie in \(0,1\)"),
-        (trig, {"alpha": math.nan}, "TriggerSpec.alpha must be finite"),
-        (traj, {"columns": cols._replace(y=cols.y[:-1])},
-         "Trajectory columns must have equal lengths"),
-        (traj, {"columns": cols._make(col[:0] for col in cols)},
-         "Trajectory must have at least one row"),
-        (avg, {"columns": acols._replace(error=acols.error[1:])},
-         "AvgTrajectory columns must have equal lengths"),
-        (log, {"ks": array("q", [3])}, "EventLog must start at k = 0"),
-        (log, {"ks": array("q"), "gradients": array("d")},
-         "EventLog must contain the initial event"),
+        _case(map_spec, {"h_star": 0.0}, "MapSpec.h_star must be nonzero"),
+        _case(map_spec, {"q_star": nan}, "MapSpec.q_star must be finite"),
+        *(_case(map_spec, {"q_star": bad}, "MapSpec.q_star must be finite", f"={bad!r}")
+          for bad in (inf, -inf)),
+        *(_case(map_spec, {"theta_star": bad}, "MapSpec.theta_star must be finite",
+                f"={bad!r}") for bad in (nan, inf, -inf)),
+        _case(loop, {"amplitude_a": 0.0}, "LoopSpec.amplitude_a must be > 0", "=0.0"),
+        _case(loop, {"epsilon": 0.0}, "LoopSpec.epsilon must be > 0"),
+        _case(loop, {"omega": inf}, "LoopSpec.omega must be finite"),
+        *(_case(loop, {"omega": bad}, "LoopSpec.omega must be finite", f"={bad!r}")
+          for bad in (nan, -inf)),
+        _case(loop, {"omega": -1.0}, "LoopSpec.omega must be > 0", "=-1.0"),
+        _case(loop, {"gain_k": 0.0}, "LoopSpec.gain_k must be nonzero", "=0.0"),
+        *(_case(loop, {"gain_k": bad}, "LoopSpec.gain_k must be finite", f"={bad!r}")
+          for bad in (nan, inf, -inf)),
+        _case(trig, {"sigma": 1.0}, r"TriggerSpec.sigma must lie in \(0,1\)"),
+        *(_case(trig, {"sigma": bad}, r"TriggerSpec.sigma must lie in \(0,1\)",
+                f"={bad!r}") for bad in (0.0, nan, inf, -inf)),
+        _case(trig, {"alpha": nan}, "TriggerSpec.alpha must be finite"),
+        *(_case(trig, {"alpha": bad}, "TriggerSpec.alpha must be finite", f"={bad!r}")
+          for bad in (inf, -inf)),
+        _case(trig, {"alpha": 0.0}, "TriggerSpec.alpha must be > 0", "=0.0"),
+        _case(traj, {"columns": cols._replace(y=cols.y[:-1])},
+              "Trajectory columns must have equal lengths"),
+        # zero rows: no first row to read an envelope's initial magnitude from
+        _case(traj, {"columns": cols._make(col[:0] for col in cols)},
+              "Trajectory must have at least one row"),
+        _case(avg, {"columns": acols._replace(error=acols.error[1:])},
+              "AvgTrajectory columns must have equal lengths"),
+        _case(avg, {"columns": acols._replace(triggered=acols.triggered[1:])},
+              "AvgTrajectory columns must have equal lengths", "-triggered"),
+        _case(avg, {"columns": acols._make(col[:0] for col in acols)},
+              "AvgTrajectory must have at least one row", "-empty"),
+        _case(log, {"ks": array("q", [3])}, "EventLog must start at k = 0"),
+        _case(log, {"ks": array("q"), "gradients": array("d")},
+              "EventLog must contain the initial event"),
+        _case(log, {"ks": array("q", [0, 3]), "gradients": array("d", [0.1])},
+              "EventLog columns must have equal lengths", "-unequal"),
+        *(_case(log, {"ks": array("q", ks), "gradients": array("d", [0.5] * len(ks))},
+                "EventLog iterations must be strictly increasing",
+                "=" + ",".join(map(str, ks)))
+          for ks in ([0, 7, 7], [0, 7, 3], [0, 0])),
     ]
 
 
 _CASES = _rejected_changes()
 
 
-@pytest.mark.parametrize("value, changes, message", _CASES, ids=[
-    f"{type(value).__name__}.{'+'.join(changes)}" for value, changes, _ in _CASES])
+@pytest.mark.parametrize("value, changes, message", _CASES)
 def test_every_construction_path_runs_the_checks(value, changes, message):
     cls = type(value)
     fields = value._asdict() | changes
