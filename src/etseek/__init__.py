@@ -8,9 +8,12 @@ package does not import, so that `python -m etseek.cli` runs it fresh.
 """
 
 from etseek.analysis import (
+    DecayAccumulator,
     DecayReport,
+    EnvelopeAccumulator,
     EnvelopeCheck,
     EnvelopeReport,
+    EventAccumulator,
     EventStats,
     ExpansionTerms,
     check_decay,
@@ -19,12 +22,14 @@ from etseek.analysis import (
     event_statistics,
     gradient_expansion,
     lyapunov_sequence,
+    lyapunov_values,
 )
 from etseek.average import (
     AvgRecord,
     AvgState,
     AvgTrajectory,
     avg_run,
+    avg_run_blocks,
     avg_step,
     closed_form_between_events,
     min_inter_event_estimate,
@@ -39,8 +44,10 @@ from etseek.escore import (
     Trajectory,
     dither,
     eval_map,
+    event_ks,
     initial_state,
     run,
+    run_blocks,
     step,
 )
 from etseek.trigger import (
@@ -58,9 +65,12 @@ __all__ = [
     "AvgRecord",
     "AvgState",
     "AvgTrajectory",
+    "DecayAccumulator",
     "DecayReport",
+    "EnvelopeAccumulator",
     "EnvelopeCheck",
     "EnvelopeReport",
+    "EventAccumulator",
     "EventEntry",
     "EventLog",
     "EventStats",
@@ -72,6 +82,7 @@ __all__ = [
     "Trajectory",
     "TriggerSpec",
     "avg_run",
+    "avg_run_blocks",
     "avg_step",
     "check_decay",
     "closed_form_between_events",
@@ -80,12 +91,15 @@ __all__ = [
     "decay_rate",
     "dither",
     "eval_map",
+    "event_ks",
     "event_statistics",
     "gradient_expansion",
     "initial_state",
     "lyapunov_sequence",
+    "lyapunov_values",
     "min_inter_event_estimate",
     "run",
+    "run_blocks",
     "should_trigger",
     "step",
     "validate_assumption",

@@ -12,11 +12,10 @@ statistics.
 from __future__ import annotations
 
 import math
-import operator
-from itertools import chain, islice
-from typing import Iterator, NamedTuple, Sequence
+from bisect import bisect_left
+from typing import NamedTuple, Sequence
 
-from etseek.average import AvgTrajectory
+from etseek.average import AvgColumns, AvgTrajectory
 from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
 from etseek.trigger import TriggerSpec, contraction_increment
 
@@ -104,7 +103,12 @@ def gradient_expansion(map_spec: MapSpec, loop: LoopSpec, k: int,
 
 def lyapunov_sequence(avg_traj: AvgTrajectory) -> list[float]:
     """Elementwise square of an averaged trajectory's g_av column."""
-    return [g * g for g in avg_traj.columns.g_av]
+    return lyapunov_values(avg_traj.columns.g_av)
+
+
+def lyapunov_values(g_av) -> list[float]:
+    """V = g_av ** 2 for each value of a g_av column, or of one block of it."""
+    return [g * g for g in g_av]
 
 
 def decay_rate(map_spec: MapSpec, loop: LoopSpec, trig: TriggerSpec) -> float:
@@ -117,6 +121,52 @@ def decay_rate(map_spec: MapSpec, loop: LoopSpec, trig: TriggerSpec) -> float:
     return 1.0 - (1.0 - rho0 * rho0) * (1.0 - trig.sigma) / 2.0
 
 
+class DecayAccumulator:
+    """The Lyapunov decay check of one run, fed its V values in order of k.
+
+    Each pair V[k], V[k+1] is checked as soon as its second value arrives,
+    so a pair may span two blocks; report() gives the verdict so far.
+    """
+
+    __slots__ = ("rho", "rows", "last", "first", "worst")
+
+    def __init__(self, map_spec: MapSpec, loop: LoopSpec, trig: TriggerSpec):
+        self.rho = decay_rate(map_spec, loop, trig)
+        self.rows = 0  # V values fed so far
+        self.last = None  # the last of them
+        self.first = None
+        self.worst = 0.0
+
+    def feed(self, values: Sequence[float]) -> None:
+        """Check the pairs that the next V values close."""
+        if not values:
+            return
+        rows = iter(values)
+        start = self.rows
+        prev = next(rows) if start == 0 else self.last
+        rho = self.rho
+        finite = rho < math.inf
+        first, worst = self.first, self.worst
+        for k, v in enumerate(rows, max(start - 1, 0)):
+            # an infinite rho makes the bound inf, even where V[k] is 0 and
+            # inf * 0 is NaN. A NaN excess is a violation too; it leaves
+            # worst as it is.
+            excess = v - rho * prev - DECAY_SLACK if finite else v - math.inf
+            if not excess <= 0.0:
+                if first is None:
+                    first = k
+                if excess > worst:
+                    worst = excess
+            prev = v
+        self.first, self.worst, self.last = first, worst, prev
+        self.rows = start + len(values)
+
+    def report(self) -> DecayReport:
+        return DecayReport(rho=self.rho, checked=max(self.rows - 1, 0),
+                           passed=self.first is None,
+                           first_violation_k=self.first, max_excess=self.worst)
+
+
 def check_decay(v_sequence: Sequence[float], map_spec: MapSpec,
                 loop: LoopSpec, trig: TriggerSpec) -> DecayReport:
     """Verify V[k+1] <= rho*V[k] + slack for every consecutive pair.
@@ -124,67 +174,110 @@ def check_decay(v_sequence: Sequence[float], map_spec: MapSpec,
     Violations become report entries, never exceptions; max_excess is the
     worst signed overshoot of V[k+1] - rho*V[k] over the slack. An infinite
     rho makes every bound inf, which only a NaN or infinite V[k+1] fails.
+    DecayAccumulator fed the whole sequence as one block.
     """
-    rho = decay_rate(map_spec, loop, trig)
-    pairs = range(len(v_sequence) - 1)
-    if rho < math.inf:
-        excesses = (v_sequence[k + 1] - rho * v_sequence[k] - DECAY_SLACK
-                    for k in pairs)
-    else:  # the bound is inf, even where V[k] is 0 and inf * 0 is NaN
-        excesses = (v_sequence[k + 1] - math.inf for k in pairs)
-    check = _check_envelope("V", excesses)
-    return DecayReport(rho=rho, checked=len(pairs), passed=check.passed,
-                       first_violation_k=check.first_violation_k,
-                       max_excess=check.max_excess)
+    check = DecayAccumulator(map_spec, loop, trig)
+    check.feed(v_sequence)
+    return check.report()
 
 
-def _powers(rho: float, exponents) -> Iterator[float]:
-    """rho ** x for each x in order, ending before the first that is inf.
-
-    A finite rho > 1 overflows (OverflowError), an infinite rho gives inf
-    from x > 0, and every later power does the same. The envelope bound is
-    inf from there on, whatever the power multiplies, so the caller checks
-    each later row against inf: a finite row passes, a NaN or infinite one
-    fails.
-    """
-    inf = math.inf
+def _power(rho: float, x: float) -> float:
+    """rho ** x, or inf where that overflows a float."""
     try:
-        for x in exponents:
-            power = rho ** x
-            if power == inf:
-                return
-            yield power
+        return rho ** x
     except OverflowError:
-        return
+        return math.inf
 
 
-def _check_envelope(name, excesses) -> EnvelopeCheck:
-    """Verdict from each row's signed excess over its bound, in order of k.
+class _Envelope:
+    """|x[k] - center| <= rho ** (step * k) * factor * |x[0] - center| + offset,
+    checked row by row as a column's blocks arrive in order of k.
 
-    A NaN excess is a violation too; it leaves max_excess as it is.
+    A bound whose power of rho overflows or is inf reads inf, whatever the
+    power multiplies: a finite row passes, a NaN or infinite one fails. The
+    power only grows with k once it can overflow (rho > 1), so the first
+    row whose power is inf is found by bisection, in the first block whose
+    last power is inf, and every row from there on is checked against inf.
     """
-    first = None
-    worst = 0.0
-    for k, excess in enumerate(excesses):
-        if not excess <= 0.0:
-            if first is None:
-                first = k
-            if excess > worst:
-                worst = excess
-    return EnvelopeCheck(name=name, passed=first is None,
-                         first_violation_k=first, max_excess=worst)
+
+    __slots__ = ("name", "center", "step", "factor", "offset", "scale",
+                 "inf_from", "first", "worst")
+
+    def __init__(self, name, center, step, factor, offset):
+        self.name, self.center, self.step = name, center, step
+        self.factor, self.offset = factor, offset
+        self.scale = None  # factor * |x[0] - center|, from row 0
+        self.inf_from = None  # the first row whose power is inf, once found
+        self.first = None
+        self.worst = 0.0
+
+    def feed(self, rho: float, column, start: int) -> None:
+        """Check rows start, start + 1, ... of the column."""
+        center, step, offset = self.center, self.step, self.offset
+        if start == 0:
+            self.scale = self.factor * abs(column[0] - center)
+        end = start + len(column)
+        if self.inf_from is None and _power(rho, step * (end - 1)) == math.inf:
+            self.inf_from = start + bisect_left(
+                range(start, end), True,
+                key=lambda k: _power(rho, step * k) == math.inf)
+        finite_to = end if self.inf_from is None else self.inf_from
+        scale, inf = self.scale, math.inf
+        first, worst = self.first, self.worst
+        for k, x in enumerate(column, start):
+            excess = abs(x - center) - (
+                rho ** (step * k) * scale + offset if k < finite_to else inf)
+            # a NaN excess is a violation too; it leaves worst as it is
+            if not excess <= 0.0:
+                if first is None:
+                    first = k
+                if excess > worst:
+                    worst = excess
+        self.first, self.worst = first, worst
+
+    def check(self) -> EnvelopeCheck:
+        return EnvelopeCheck(name=self.name, passed=self.first is None,
+                             first_violation_k=self.first,
+                             max_excess=self.worst)
 
 
-def _envelope(name, column, center, powers, factor, offset) -> EnvelopeCheck:
-    """Check |x[k] - center| <= p[k] * factor * |x[0] - center| + offset.
+class EnvelopeAccumulator:
+    """The convergence envelopes of one run, fed its column blocks in order of k.
 
-    Each row past the last power is checked against an inf bound.
+    columns_type is the type of the blocks, AvgColumns for the averaged
+    loop and StepColumns for the true loop; it picks the envelopes, as
+    convergence_envelopes describes. report() gives the verdicts so far.
     """
-    scale = factor * abs(column[0] - center)
-    rows = iter(column)  # zip takes a power first, so no row is skipped
-    return _check_envelope(name, chain(
-        (abs(x - center) - (p * scale + offset) for p, x in zip(powers, rows)),
-        (abs(x - center) - math.inf for x in rows)))
+
+    __slots__ = ("rho", "rows", "envelopes")
+
+    def __init__(self, columns_type: type, map_spec: MapSpec, loop: LoopSpec,
+                 trig: TriggerSpec, offset_constant: float = 0.0):
+        if not 0 <= offset_constant < math.inf:
+            raise ValueError(
+                "convergence_envelopes requires a finite offset_constant >= 0")
+        self.rho = decay_rate(map_spec, loop, trig)
+        self.rows = 0
+        # each envelope: (name of its column, center, step, factor, offset)
+        if issubclass(columns_type, AvgColumns):
+            self.envelopes = (
+                _Envelope("g_av", 0.0, 0.5, 1.0, DECAY_SLACK),
+                _Envelope("theta_tilde_av", 0.0, 0.5, 1.0, DECAY_SLACK))
+        else:
+            self.envelopes = (
+                _Envelope("theta", map_spec.theta_star, 0.5, 1.0, offset_constant),
+                _Envelope("y", map_spec.q_star, 1.0, 2.0,
+                          offset_constant * offset_constant))
+
+    def feed(self, columns) -> None:
+        """Check the next rows of the run: one block of its columns."""
+        for envelope in self.envelopes:
+            envelope.feed(self.rho, getattr(columns, envelope.name), self.rows)
+        self.rows += len(columns[0])
+
+    def report(self) -> EnvelopeReport:
+        return EnvelopeReport(rho=self.rho, checks=tuple(
+            envelope.check() for envelope in self.envelopes))
 
 
 def convergence_envelopes(traj: Trajectory | AvgTrajectory,
@@ -199,45 +292,67 @@ def convergence_envelopes(traj: Trajectory | AvgTrajectory,
     supplies offset_constant, the residual-neighborhood radius the analysis
     leaves symbolic: the input envelope carries it additively and the output
     envelope its square. A bound whose power of rho overflows or is inf
-    reads inf, and its rows are still checked.
+    reads inf, and its rows are still checked. EnvelopeAccumulator fed the
+    whole trajectory as one block.
     """
-    if not 0 <= offset_constant < math.inf:
-        raise ValueError(
-            "convergence_envelopes requires a finite offset_constant >= 0")
-    rho = decay_rate(map_spec, loop, trig)
-    n = len(traj)
-    cols = traj.columns
-    # rows: (name, column, center, powers of rho, factor, offset)
-    half = _powers(rho, (0.5 * k for k in range(n)))
-    if isinstance(traj, AvgTrajectory):
-        half = list(half)  # both checks read these: computing them once is faster
-        table = (("g_av", cols.g_av, 0.0, half, 1.0, DECAY_SLACK),
-                 ("theta_tilde_av", cols.theta_tilde_av, 0.0, half, 1.0, DECAY_SLACK))
-    else:
-        table = (("theta", cols.theta, map_spec.theta_star, half, 1.0, offset_constant),
-                 ("y", cols.y, map_spec.q_star, _powers(rho, range(n)), 2.0,
-                  offset_constant * offset_constant))
-    return EnvelopeReport(rho=rho, checks=tuple(_envelope(*row) for row in table))
+    check = EnvelopeAccumulator(type(traj.columns), map_spec, loop, trig,
+                                offset_constant)
+    check.feed(traj.columns)
+    return check.report()
+
+
+class EventAccumulator:
+    """Count and gap statistics of a run's triggering instants, fed their
+    iterations in increasing order, in blocks."""
+
+    __slots__ = ("epsilon", "count", "first_k", "last_k", "min_gap", "max_gap")
+
+    def __init__(self, epsilon: float):
+        self.epsilon = epsilon
+        self.count = 0
+        self.first_k = self.last_k = None
+        self.min_gap = math.inf
+        self.max_gap = 0
+
+    def feed(self, ks) -> None:
+        """Count the next event iterations."""
+        count, last, low, high = self.count, self.last_k, self.min_gap, self.max_gap
+        for k in ks:
+            if count:
+                gap = k - last
+                if gap < low:
+                    low = gap
+                if gap > high:
+                    high = gap
+            else:
+                self.first_k = k
+            count += 1
+            last = k
+        self.count, self.last_k, self.min_gap, self.max_gap = count, last, low, high
+
+    def stats(self) -> EventStats:
+        """Gaps are differences of consecutive event iterations; seconds
+        scale by the sampling step. Fewer than two events have no gaps,
+        reported as None."""
+        count = self.count
+        if count < 2:
+            return EventStats(count=count, mean_gap_iters=None,
+                              mean_gap_seconds=None, min_gap_iters=None,
+                              max_gap_iters=None)
+        # the gaps sum to last_k - first_k, an exact integer
+        mean_iters = (self.last_k - self.first_k) / (count - 1)
+        return EventStats(
+            count=count,
+            mean_gap_iters=mean_iters,
+            mean_gap_seconds=mean_iters * self.epsilon,
+            min_gap_iters=self.min_gap,
+            max_gap_iters=self.max_gap,
+        )
 
 
 def event_statistics(log: EventLog) -> EventStats:
-    """Count and gap statistics of a run's triggering instants.
-
-    Gaps are differences of consecutive event iterations; seconds scale by
-    the sampling step. A single-event log has no gaps, reported as None.
-    """
-    ks = log.ks
-    count = len(ks)
-    if count < 2:
-        return EventStats(count=count, mean_gap_iters=None,
-                          mean_gap_seconds=None, min_gap_iters=None,
-                          max_gap_iters=None)
-    gaps = list(map(operator.sub, islice(ks, 1, None), ks))
-    mean_iters = sum(gaps) / len(gaps)
-    return EventStats(
-        count=count,
-        mean_gap_iters=mean_iters,
-        mean_gap_seconds=mean_iters * log.epsilon,
-        min_gap_iters=min(gaps),
-        max_gap_iters=max(gaps),
-    )
+    """Count and gap statistics of a run's triggering instants: an
+    EventAccumulator fed the log's iterations as one block."""
+    stats = EventAccumulator(log.epsilon)
+    stats.feed(log.ks)
+    return stats.stats()

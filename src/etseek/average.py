@@ -4,8 +4,9 @@ Averaging the dither out of the true loop leaves a scalar linear recursion
 for the averaged gradient estimate, driven by the held-versus-current error.
 Between events the recursion telescopes to a closed form, and where that
 form first meets the triggering bound is the smallest guaranteed spacing of
-triggering instants. avg_step defines one iteration readably; avg_run steps
-the same iteration inline, n_iters times, into the trajectory's columns.
+triggering instants. avg_step defines one iteration readably;
+avg_run_blocks steps the same iteration inline, n_iters times, into blocks
+of columns, and avg_run is its one block.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from array import array
 from typing import NamedTuple
 
 from etseek import trigger as _trigger
-from etseek.escore import (EventLog, LoopSpec, MapSpec, RowView, check_columns,
-                           event_log)
+from etseek.escore import (_BLOCK_ROWS, EventLog, LoopSpec, MapSpec, RowView,
+                           check_columns, event_log)
 
 
 class AvgState(NamedTuple):
@@ -181,37 +182,57 @@ def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
             theta_tilde0: float, n_iters: int) -> AvgTrajectory:
     """Run the averaged loop n_iters iterations from k = 0.
 
-    Seeds g_av[0] = h_star * theta_tilde0 and makes the origin a triggering
-    instant, mirroring the true loop's initialization. Deterministic. The
-    loop inlines avg_step() on local floats, and tests/test_kernels.py holds
-    its rows and events to those composed from avg_step()'s records, bit for
-    bit. Keep its expressions and their order as they are: golden files
-    depend on them. As in escore.run, row 0 never fires, and the events are
-    read off the g_av and triggered columns.
+    The one block of avg_run_blocks with n_iters rows, so the columns are
+    not copied. As in escore.run, the events are read off the g_av and
+    triggered columns.
     """
-    if n_iters < 1:
-        raise ValueError("avg_run requires n_iters >= 1")
+    columns, = avg_run_blocks(map_spec, loop, trig, theta_tilde0, n_iters,
+                              n_iters)
+    return AvgTrajectory(columns=columns,
+                         events=event_log(loop, columns.g_av, columns.triggered))
+
+
+def avg_run_blocks(map_spec: MapSpec, loop: LoopSpec,
+                   trig: _trigger.TriggerSpec, theta_tilde0: float,
+                   n_iters: int, block_rows: int = _BLOCK_ROWS):
+    """Run the averaged loop n_iters iterations from k = 0, in blocks.
+
+    Returns an iterator of AvgColumns of block_rows rows each, as
+    escore.run_blocks does; bad arguments raise here. Seeds g_av[0] =
+    h_star * theta_tilde0 and makes the origin a triggering instant,
+    mirroring the true loop's initialization, so row 0 never fires.
+    Deterministic, whatever the block size. The loop inlines avg_step() on
+    local floats, and tests/test_kernels.py holds its rows and events to
+    those composed from avg_step()'s records, bit for bit. Keep its
+    expressions and their order as they are: golden files depend on them.
+    """
+    if n_iters < 1 or block_rows < 1:
+        raise ValueError("avg_run requires n_iters >= 1 and block_rows >= 1")
     h_star = map_spec.h_star
     c_g = _trigger.contraction_increment(map_spec, loop)
     alpha = trig.alpha
     root_sigma = math.sqrt(trig.sigma)
     rho0 = 1.0 - c_g
-    g = h_star * theta_tilde0
-    held = g
-    columns = AvgColumns(array("d"), array("d"), array("d"), array("b"))
-    add_g, add_tt, add_e, add_fired = (col.append for col in columns)
-    for _ in range(n_iters):
-        e = held - g
-        fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
-        if fired:
-            held = g
-            e_post = 0.0
-        else:
-            e_post = e
-        add_g(g)
-        add_tt(g / h_star)
-        add_e(e)
-        add_fired(fired)
-        g = rho0 * g - c_g * e_post
-    return AvgTrajectory(columns=columns,
-                         events=event_log(loop, columns.g_av, columns.triggered))
+
+    def blocks():
+        g = h_star * theta_tilde0
+        held = g
+        for start in range(0, n_iters, block_rows):
+            columns = AvgColumns(array("d"), array("d"), array("d"), array("b"))
+            add_g, add_tt, add_e, add_fired = (col.append for col in columns)
+            for _ in range(min(block_rows, n_iters - start)):
+                e = held - g
+                fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
+                if fired:
+                    held = g
+                    e_post = 0.0
+                else:
+                    e_post = e
+                add_g(g)
+                add_tt(g / h_star)
+                add_e(e)
+                add_fired(fired)
+                g = rho0 * g - c_g * e_post
+            yield columns
+
+    return blocks()

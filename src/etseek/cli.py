@@ -3,8 +3,9 @@
 Configs are flat INI files with # comments and four sections: [map], [loop],
 [trigger], [run]. Every run writes CSVs plus a plain-text report into its own
 output directory; outputs are byte-deterministic for identical configs so
-directories can be diffed or frozen as goldens. Data files are written in
-blocks of 256 rows, each cell the repr of its float.
+directories can be diffed or frozen as goldens. A run is stepped, written
+and checked in blocks of 256 rows, each data cell the repr of its float, so
+its memory does not grow with the horizon.
 The report is rendered by one function from the run's RunResult.
 """
 
@@ -15,7 +16,6 @@ import math
 import os
 import sys
 import threading
-from bisect import bisect_left
 from pathlib import Path
 from typing import NamedTuple
 
@@ -181,54 +181,21 @@ def _build_config(values) -> ExperimentConfig:
 # contains a comma, a quote or a line break, so none needs quoting.
 _FLAGS = ("0", "1")
 
-# Rows of a data file formatted and written together. Small enough that a
-# block's text stays a few tens of kilobytes, large enough that the per-block
-# calls cost nothing next to repr.
-_BLOCK_ROWS = 256
-
 # Positions of the g_hat and u columns among the true loop's float columns.
 _G_HAT, _U = map(escore.StepColumns._fields.index, ("gradient", "control"))
 
 
-def _csv_blocks(floats, flags):
-    """Rows k,floats...,flag of a data file, _BLOCK_ROWS rows at a time.
+def _write_rows(fh, start, floats, flags):
+    """Write rows start, start + 1, ... of a data file: k, floats..., flag.
 
-    Yields (first row, k text, each float column's text, the rows' lines).
+    floats are the rows' float columns. Returns the k text and each float
+    column's text, so that a caller can write some cells again.
     """
-    n = len(flags)
-    for i in range(0, n, _BLOCK_ROWS):
-        j = min(i + _BLOCK_ROWS, n)
-        k_text = list(map(str, range(i, j)))
-        text = [list(map(repr, col[i:j])) for col in floats]
-        yield i, k_text, text, "\n".join(map(",".join, zip(
-            k_text, *text, map(_FLAGS.__getitem__, flags[i:j])))) + "\n"
-
-
-def _write_true_loop(trajectory_path: Path, events_path: Path,
-                     traj: escore.Trajectory, log: escore.EventLog):
-    """Write trajectory.csv and events.csv, one block of _BLOCK_ROWS rows at a time.
-
-    Event l happened at iteration k_l = log.ks[l] (the k = 0 seed event and
-    every fired row), and escore.event_log took its gradient from that row,
-    where escore.run held that gradient and its control from then on. So its
-    g_hat_held and u_held cells are the g_hat and u text of trajectory row
-    k_l, taken from the block that holds the row; no float is formatted
-    twice.
-    """
-    cols, ks = traj.columns, log.ks
-    with open(events_path, "w", newline="") as events_fh, \
-            open(trajectory_path, "w", newline="") as traj_fh:
-        events_fh.write("l,k_l,g_hat_held,u_held\n")
-        traj_fh.write("k,theta_hat,theta,y,g_hat,e,u,triggered\n")
-        first = 0  # index in ks of the first event at or after row i
-        for i, k_text, text, lines in _csv_blocks(cols[:-1], cols.triggered):
-            traj_fh.write(lines)
-            g_hat, u = text[_G_HAT], text[_U]
-            end = bisect_left(ks, i + len(k_text), first)
-            events_fh.write("".join(
-                f"{l},{k_text[k - i]},{g_hat[k - i]},{u[k - i]}\n"
-                for l, k in enumerate(ks[first:end], first)))
-            first = end
+    k_text = list(map(str, range(start, start + len(flags))))
+    text = [list(map(repr, col)) for col in floats]
+    fh.write("\n".join(map(",".join, zip(
+        k_text, *text, map(_FLAGS.__getitem__, flags)))) + "\n")
+    return k_text, text
 
 
 _WORDS = {None: "n/a", False: "false", True: "true"}
@@ -299,38 +266,65 @@ def _report(config: ExperimentConfig, result: RunResult) -> list:
 
 
 def _true_half(config: ExperimentConfig, out: Path) -> dict:
-    """Run the true loop, write its CSV files; return its RunResult fields."""
-    traj, log = escore.run(config.map_spec, config.loop_spec,
-                           config.trigger_spec, config.theta_hat0,
-                           config.n_iters)
-    _write_true_loop(out / "trajectory.csv", out / "events.csv", traj, log)
+    """Run the true loop, write its CSV files; return its RunResult fields.
+
+    Each block of rows is written and checked as soon as it is stepped, so
+    memory does not grow with n_iters. Event l happened at iteration k_l
+    (the k = 0 seed event and every fired row), where the loop held row
+    k_l's gradient and control from then on. So its g_hat_held and u_held
+    cells are the g_hat and u text of trajectory row k_l, taken from the
+    block that holds the row; no float is formatted twice.
+    """
+    specs = config.map_spec, config.loop_spec, config.trigger_spec
+    blocks = escore.run_blocks(*specs, config.theta_hat0, config.n_iters)
+    events = analysis.EventAccumulator(config.loop_spec.epsilon)
+    envelopes = analysis.EnvelopeAccumulator(escore.StepColumns, *specs,
+                                             config.offset_constant)
+    with open(out / "events.csv", "w", newline="") as events_fh, \
+            open(out / "trajectory.csv", "w", newline="") as traj_fh:
+        events_fh.write("l,k_l,g_hat_held,u_held\n")
+        traj_fh.write("k,theta_hat,theta,y,g_hat,e,u,triggered\n")
+        i = 0  # the block's first row
+        for block in blocks:
+            k_text, text = _write_rows(traj_fh, i, block[:-1], block.triggered)
+            g_hat, u = text[_G_HAT], text[_U]
+            ks = list(escore.event_ks(block.triggered, i))
+            events_fh.write("".join(
+                f"{l},{k_text[k - i]},{g_hat[k - i]},{u[k - i]}\n"
+                for l, k in enumerate(ks, events.count)))
+            events.feed(ks)
+            envelopes.feed(block)
+            i += len(k_text)
     return dict(
         trajectory_path=out / "trajectory.csv", events_path=out / "events.csv",
-        event_stats=analysis.event_statistics(log),
-        envelopes=analysis.convergence_envelopes(
-            traj, config.map_spec, config.loop_spec, config.trigger_spec,
-            config.offset_constant),
-        final_theta=traj.columns.theta[-1])
+        event_stats=events.stats(), envelopes=envelopes.report(),
+        final_theta=block.theta[-1])
 
 
 def _average_half(config: ExperimentConfig, out: Path) -> dict:
-    """Run the averaged loop, write its CSV file; return its RunResult fields."""
-    avg_traj = average.avg_run(
-        config.map_spec, config.loop_spec, config.trigger_spec,
-        config.theta_hat0 - config.map_spec.theta_star, config.n_iters)
-    cols = avg_traj.columns
+    """Run the averaged loop, write its CSV file; return its RunResult fields.
+
+    As in _true_half, each block is written and checked as it is stepped.
+    """
+    specs = config.map_spec, config.loop_spec, config.trigger_spec
+    blocks = average.avg_run_blocks(
+        *specs, config.theta_hat0 - config.map_spec.theta_star, config.n_iters)
+    events = analysis.EventAccumulator(config.loop_spec.epsilon)
+    decay = analysis.DecayAccumulator(*specs)
+    envelopes = analysis.EnvelopeAccumulator(average.AvgColumns, *specs)
     with open(out / "avg_trajectory.csv", "w", newline="") as fh:
         fh.write("k,g_av,theta_tilde_av,e_av,triggered\n")
-        fh.writelines(block[-1] for block in _csv_blocks(
-            (cols.g_av, cols.theta_tilde_av, cols.error), cols.triggered))
+        i = 0
+        for block in blocks:
+            _write_rows(fh, i, block[:-1], block.triggered)
+            events.feed(escore.event_ks(block.triggered, i))
+            decay.feed(analysis.lyapunov_values(block.g_av))
+            envelopes.feed(block)
+            i += len(block.triggered)
     return dict(
         avg_trajectory_path=out / "avg_trajectory.csv",
-        avg_event_stats=analysis.event_statistics(avg_traj.events),
-        decay=analysis.check_decay(
-            analysis.lyapunov_sequence(avg_traj), config.map_spec,
-            config.loop_spec, config.trigger_spec),
-        avg_envelopes=analysis.convergence_envelopes(
-            avg_traj, config.map_spec, config.loop_spec, config.trigger_spec))
+        avg_event_stats=events.stats(), decay=decay.report(),
+        avg_envelopes=envelopes.report())
 
 
 def _fork_call(fn, *args):

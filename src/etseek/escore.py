@@ -4,8 +4,8 @@ The loop seeks the extremum of an unknown quadratic map by perturbing the
 input estimate with a sinusoid, demodulating the measured output into a
 gradient estimate, and integrating a gain times the gradient held from the
 last triggering instant. The trigger module decides when the hold refreshes.
-step defines one iteration readably; run steps the same iteration inline,
-n_iters times, into the trajectory's columns.
+step defines one iteration readably; run_blocks steps the same iteration
+inline, n_iters times, into blocks of columns, and run is its one block.
 """
 
 from __future__ import annotations
@@ -14,10 +14,15 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from typing import NamedTuple
 
 from etseek import trigger as _trigger
+
+# Rows of a run stepped, written and checked together: small enough that a
+# block's columns and CSV text stay a few tens of kilobytes, large enough that
+# the per-block calls cost nothing next to the rows.
+_BLOCK_ROWS = 256
 
 
 def _require_finite(spec) -> None:
@@ -171,8 +176,8 @@ class EventLog(NamedTuple):
     matching EventEntry rows only when they are read. A run's log comes
     from event_log, which takes gradients[l] from the gradient column at
     row ks[l], so for either loop it is the very float of that row; for the
-    true loop -gain_k times it is the control there too, which is how the
-    CLI writes events.csv without formatting them again.
+    true loop -gain_k times it is the control there too. The CLI writes
+    events.csv the same way, from the text of those rows, block by block.
     """
 
     ks: array
@@ -253,65 +258,88 @@ def run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
         theta_hat0: float, n_iters: int) -> tuple[Trajectory, EventLog]:
     """Run the closed loop for n_iters iterations from k = 0.
 
-    Deterministic: identical inputs give bit-identical trajectories. The
-    loop inlines step() on local floats, and tests/test_kernels.py holds its
-    rows and events to those composed from step()'s records, bit for bit.
-    Keep its expressions and their order as they are: golden files depend
-    on them. Row 0 seeds the hold and so never fires: its error is 0.0, or
-    NaN from a non-finite gradient. The event log is read off the
-    trajectory's gradient and triggered columns.
+    The one block of run_blocks with n_iters rows, so the columns are not
+    copied. The event log is read off its gradient and triggered columns.
     """
-    if n_iters < 1:
-        raise ValueError("run requires n_iters >= 1")
+    columns, = run_blocks(map_spec, loop, trig, theta_hat0, n_iters, n_iters)
+    return (Trajectory(columns=columns),
+            event_log(loop, columns.gradient, columns.triggered))
+
+
+def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
+               theta_hat0: float, n_iters: int, block_rows: int = _BLOCK_ROWS):
+    """Run the closed loop for n_iters iterations from k = 0, in blocks.
+
+    Returns an iterator of StepColumns: rows 0 to block_rows - 1 of the run,
+    then the next block_rows rows, and so on; the last block may be
+    shorter. Bad arguments raise here, before any block is stepped.
+
+    Deterministic: identical inputs give bit-identical rows, whatever the
+    block size. The loop inlines step() on local floats, and
+    tests/test_kernels.py holds its rows and events to those composed from
+    step()'s records, bit for bit. Keep its expressions and their order as
+    they are: golden files depend on them. Row 0 seeds the hold and so
+    never fires: its error is 0.0, or NaN from a non-finite gradient.
+    """
+    if n_iters < 1 or block_rows < 1:
+        raise ValueError("run requires n_iters >= 1 and block_rows >= 1")
     q_star, h_star, theta_star = map_spec.q_star, map_spec.h_star, map_spec.theta_star
     a, epsilon, gain_k = loop.amplitude_a, loop.epsilon, loop.gain_k
     alpha = trig.alpha
     we = loop.omega * epsilon
     root_sigma = math.sqrt(trig.sigma)
-    sin = math.sin
-    th = theta_hat0
-    held = 0.0
-    columns = StepColumns(array("d"), array("d"), array("d"), array("d"),
-                          array("d"), array("d"), array("b"))
-    add_th, add_theta, add_y, add_g, add_e, add_u, add_fired = (
-        col.append for col in columns)
-    for k in range(n_iters):
-        s = a * sin(we * k)
-        theta = th + s
-        d = theta - theta_star
-        y = q_star + 0.5 * h_star * (d * d)
-        g = s * y
-        if k == 0:
-            # the origin is a triggering instant: it seeds the hold, and the
-            # error below is then exactly zero
-            held = g
-        e = held - g
-        fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
-        if fired:
-            held = g
-        u = -gain_k * held
-        add_th(th)
-        add_theta(theta)
-        add_y(y)
-        add_g(g)
-        add_e(e)
-        add_u(u)
-        add_fired(fired)
-        th = th + epsilon * u
-    return (Trajectory(columns=columns),
-            event_log(loop, columns.gradient, columns.triggered))
+
+    def blocks():
+        sin = math.sin
+        th = theta_hat0
+        held = 0.0
+        for start in range(0, n_iters, block_rows):
+            columns = StepColumns(array("d"), array("d"), array("d"), array("d"),
+                                  array("d"), array("d"), array("b"))
+            add_th, add_theta, add_y, add_g, add_e, add_u, add_fired = (
+                col.append for col in columns)
+            for k in range(start, min(start + block_rows, n_iters)):
+                s = a * sin(we * k)
+                theta = th + s
+                d = theta - theta_star
+                y = q_star + 0.5 * h_star * (d * d)
+                g = s * y
+                if k == 0:
+                    # the origin is a triggering instant: it seeds the hold,
+                    # and the error below is then exactly zero
+                    held = g
+                e = held - g
+                fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
+                if fired:
+                    held = g
+                u = -gain_k * held
+                add_th(th)
+                add_theta(theta)
+                add_y(y)
+                add_g(g)
+                add_e(e)
+                add_u(u)
+                add_fired(fired)
+                th = th + epsilon * u
+            yield columns
+
+    return blocks()
+
+
+def event_ks(fired, start: int = 0):
+    """Iterations of the events among rows start, start + 1, ... of a run.
+
+    fired holds those rows' fired flags. The origin seeds the hold at k = 0,
+    and every row whose fired flag is set is an event that holds that row's
+    gradient. Row 0 itself never fires, because its error is 0.0 or NaN, so
+    it is counted once. The one rule for reading events off a run's rows.
+    """
+    ks = compress(range(start, start + len(fired)), fired)
+    return chain((0,), ks) if start == 0 else ks
 
 
 def event_log(loop: LoopSpec, gradient: array, fired: array) -> EventLog:
-    """EventLog of a run from its gradient and fired columns.
-
-    The origin seeds the hold at k = 0, and every row whose fired flag is
-    set is an event that holds that row's gradient. Row 0 itself never
-    fires, because its error is 0.0 or NaN, so it is logged once.
-    """
-    ks = array("q", [0])
-    ks.extend(compress(range(len(fired)), fired))
-    gradients = array("d", gradient[:1])
-    gradients.extend(compress(gradient, fired))
-    return EventLog(ks=ks, gradients=gradients, gain_k=loop.gain_k,
-                    epsilon=loop.epsilon)
+    """EventLog of a run from its gradient and fired columns, by event_ks."""
+    ks = array("q", event_ks(fired))
+    return EventLog(ks=ks, gradients=array("d", map(gradient.__getitem__, ks)),
+                    gain_k=loop.gain_k, epsilon=loop.epsilon)

@@ -212,17 +212,20 @@ def test_checks_fail_on_nan_rows():
 
 
 def test_true_envelopes_hold_no_per_row_lists():
-    # the bounds' powers stream row by row: a list of them would take
-    # about 1.3 MB at this horizon
+    # the bounds' powers are computed row by row, for the true and the
+    # averaged envelopes alike: a list of them would take about 1.3 MB at
+    # this horizon
     map_spec, loop, trig = reference_specs()
     traj, _ = escore.run(map_spec, loop, trig, 0.5, 20_000)
-    tracemalloc.start()
-    try:
-        convergence_envelopes(traj, map_spec, loop, trig, offset_constant=0.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+    avg = avg_run(map_spec, loop, trig, -2.5, 20_000)
+    for run, offset_constant in ((traj, 0.3), (avg, 0.0)):
+        tracemalloc.start()
+        try:
+            convergence_envelopes(run, map_spec, loop, trig, offset_constant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def test_envelopes_overflowing_bound_reads_inf():

@@ -25,9 +25,9 @@ from etseek import (
     validate_assumption,
 )
 from etseek import cli
-from etseek.cli import (_BLOCK_ROWS, _REFERENCE_PARAMS, MODES, ConfigError,
-                        _csv_blocks, main, parse_config, run_experiment,
-                        sweep)
+from etseek.cli import (_REFERENCE_PARAMS, MODES, ConfigError, _write_rows,
+                        main, parse_config, run_experiment, sweep)
+from etseek.escore import _BLOCK_ROWS
 from helpers import (
     REFERENCE_CFG,
     REFERENCE_N_ITERS,
@@ -852,19 +852,22 @@ def test_run_experiment_builds_no_event_entries(tmp_path, monkeypatch):
     assert built == [1]
 
 
-def test_csv_blocks_write_every_cell_as_its_repr():
+def test_write_rows_writes_every_cell_as_its_repr():
     # -0.0 == 0.0 and nan != nan: each cell is the repr of its own float,
     # in mixed blocks and in blocks that repeat one value alike
     nan, inf = float("nan"), float("inf")
     mixed = [0.0, -0.0, -0.0, 0.0, nan, nan, inf, inf, -inf, 5e-324, 5e-324]
-    for values in (mixed, [-0.0] * 5, [nan] * 3, [inf] * 4, [0.0, -0.0, 0.0],
-                   [-inf, inf], [5e-324]):
-        flags = array("b", [k % 2 for k in range(len(values))])
-        (i, k_text, text, lines), = _csv_blocks([array("d", values)], flags)
-        assert (i, k_text) == (0, [str(k) for k in range(len(values))])
-        assert text == [[repr(v) for v in values]]
-        assert lines == "".join(f"{k},{v!r},{k % 2}\n"
-                                for k, v in enumerate(values))
+    for start in (0, 300):
+        for values in (mixed, [-0.0] * 5, [nan] * 3, [inf] * 4,
+                       [0.0, -0.0, 0.0], [-inf, inf], [5e-324]):
+            flags = array("b", [k % 2 for k in range(len(values))])
+            fh = io.StringIO()
+            k_text, text = _write_rows(fh, start, [array("d", values)], flags)
+            ks = range(start, start + len(values))
+            assert k_text == [str(k) for k in ks]
+            assert text == [[repr(v) for v in values]]
+            assert fh.getvalue() == "".join(f"{k},{v!r},{k % 2}\n"
+                                            for k, v in zip(ks, values))
 
 
 def _counting_fork(monkeypatch):
@@ -987,6 +990,28 @@ def test_failing_true_half_kills_and_reaps_the_child(tmp_path, monkeypatch):
     assert time.monotonic() - start < 30
     assert len(forks) == 1
     _assert_no_child_left()
+
+
+def test_run_memory_does_not_grow_with_the_horizon(tmp_path):
+    # each half steps, writes and checks 256 rows at a time, so a run of 50k
+    # rows peaks within 64 KB of one of 5k: one column of the 45k rows more
+    # would take 360 KB. The true loop of this config fires on most rows.
+    import tracemalloc
+    config = parse_config(_many_fires_config_text())
+    for mode in ("true-loop", "average"):
+        peaks = []
+        for n_iters in (5_000, 50_000):
+            entry = config._replace(n_iters=n_iters, mode=mode,
+                                    out_dir=str(tmp_path / f"{mode}-{n_iters}"))
+            tracemalloc.start()
+            try:
+                result = run_experiment(entry)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 64 * 1024, (mode, peaks)
+        stats = result.event_stats or result.avg_event_stats
+        assert stats.count > 500
 
 
 def test_true_loop_blocks_match_the_csv_writer_oracle(tmp_path):
