@@ -27,7 +27,6 @@ from etseek.analysis import (
 from etseek.average import (
     AvgRecord,
     AvgState,
-    AvgTrajectory,
     avg_run,
     avg_run_blocks,
     avg_step,
@@ -64,7 +63,6 @@ __all__ = [
     "AssumptionReport",
     "AvgRecord",
     "AvgState",
-    "AvgTrajectory",
     "DecayAccumulator",
     "DecayReport",
     "EnvelopeAccumulator",

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
-from etseek.average import AvgColumns, AvgTrajectory
+from etseek.average import AvgColumns
 from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
 from etseek.trigger import TriggerSpec, contraction_increment
 
@@ -101,7 +101,7 @@ def gradient_expansion(map_spec: MapSpec, loop: LoopSpec, k: int,
                           quadratic_term=quadratic)
 
 
-def lyapunov_sequence(avg_traj: AvgTrajectory) -> list[float]:
+def lyapunov_sequence(avg_traj: Trajectory) -> list[float]:
     """Elementwise square of an averaged trajectory's g_av column."""
     return lyapunov_values(avg_traj.columns.g_av)
 
@@ -280,8 +280,7 @@ class EnvelopeAccumulator:
             envelope.check() for envelope in self.envelopes))
 
 
-def convergence_envelopes(traj: Trajectory | AvgTrajectory,
-                          map_spec: MapSpec, loop: LoopSpec,
+def convergence_envelopes(traj: Trajectory, map_spec: MapSpec, loop: LoopSpec,
                           trig: TriggerSpec,
                           offset_constant: float = 0.0) -> EnvelopeReport:
     """Check the geometric convergence envelopes along a trajectory.

@@ -17,8 +17,7 @@ from array import array
 from typing import NamedTuple
 
 from etseek import trigger as _trigger
-from etseek.escore import (_BLOCK_ROWS, EventLog, LoopSpec, MapSpec, RowView,
-                           check_columns, event_log)
+from etseek.escore import _BLOCK_ROWS, LoopSpec, MapSpec, Trajectory, event_log
 
 
 class AvgState(NamedTuple):
@@ -46,35 +45,16 @@ class AvgRecord(NamedTuple):
 class AvgColumns(NamedTuple):
     """The averaged loop's per-iteration values as columns; index k is iteration k.
 
-    Fields follow AvgRecord without k; triggered holds 0/1 flags.
+    Fields follow AvgRecord without k, the record type of their rows;
+    triggered holds 0/1 flags.
     """
+
+    record = AvgRecord
 
     g_av: array
     theta_tilde_av: array
     error: array
     triggered: array
-
-
-@_trigger.checked
-class AvgTrajectory(NamedTuple):
-    """Per-iteration columns of the averaged loop and its events; its len is
-    its row count."""
-
-    columns: AvgColumns
-    events: EventLog
-
-    def _check(self):
-        check_columns("AvgTrajectory", self.columns)
-
-    @property
-    def records(self) -> RowView:
-        """AvgRecord rows, each built when read; triggered is a bool."""
-        return RowView(
-            lambda k, *cells: AvgRecord(k, *cells[:-1], bool(cells[-1])),
-            self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns.g_av)
 
 
 def avg_step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
@@ -179,7 +159,7 @@ def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
 
 
 def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
-            theta_tilde0: float, n_iters: int) -> AvgTrajectory:
+            theta_tilde0: float, n_iters: int) -> Trajectory:
     """Run the averaged loop n_iters iterations from k = 0.
 
     The one block of avg_run_blocks with n_iters rows, so the columns are
@@ -188,8 +168,7 @@ def avg_run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """
     columns, = avg_run_blocks(map_spec, loop, trig, theta_tilde0, n_iters,
                               n_iters)
-    return AvgTrajectory(columns=columns,
-                         events=event_log(loop, columns.g_av, columns.triggered))
+    return Trajectory(columns, event_log(loop, columns.g_av, columns.triggered))
 
 
 def avg_run_blocks(map_spec: MapSpec, loop: LoopSpec,

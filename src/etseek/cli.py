@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import threading
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -171,15 +172,25 @@ def _build_config(values) -> ExperimentConfig:
         problems.append("run.mode must be one of " + ", ".join(MODES))
     if not 0 <= run["offset_constant"] < math.inf:
         problems.append("run.offset_constant must be finite and >= 0")
+    if not run["out_dir"]:  # Path("") is the working directory
+        problems.append("run.out_dir must not be empty")
     if problems:
         raise ConfigError("; ".join(problems))
     return ExperimentConfig(**parts, **run)
 
 
-# CSV cell text: floats as repr (shortest round trip, also nan, inf and -0.0),
-# integers as str, fired flags and verdicts as 0/1. No cell this module writes
-# contains a comma, a quote or a line break, so none needs quoting.
-_FLAGS = ("0", "1")
+# How None, False and True read in report.txt and in CSV files; any other value
+# reads as its repr (shortest round trip for a float, also nan, inf and -0.0).
+# The golden summary.csv pins nan where report.txt pins n/a. No cell written
+# here contains a comma, a quote or a line break, so none needs quoting.
+_REPORT_WORDS = {None: "n/a", False: "false", True: "true"}
+_CSV_WORDS = {None: "nan", False: "0", True: "1"}
+
+
+def _cell(value, words) -> str:
+    """The text of one report value or CSV cell, by the file's words."""
+    return words[value] if value is None or isinstance(value, bool) else repr(value)
+
 
 # Positions of the g_hat and u columns among the true loop's float columns.
 _G_HAT, _U = map(escore.StepColumns._fields.index, ("gradient", "control"))
@@ -188,36 +199,29 @@ _G_HAT, _U = map(escore.StepColumns._fields.index, ("gradient", "control"))
 def _write_rows(fh, start, floats, flags):
     """Write rows start, start + 1, ... of a data file: k, floats..., flag.
 
-    floats are the rows' float columns. Returns the k text and each float
-    column's text, so that a caller can write some cells again.
+    floats are the rows' float columns. A 0/1 flag is looked up in the CSV
+    words directly, at a third of _cell's cost per row. Returns the k text
+    and each float column's text, so that a caller can write some cells again.
     """
     k_text = list(map(str, range(start, start + len(flags))))
     text = [list(map(repr, col)) for col in floats]
     fh.write("\n".join(map(",".join, zip(
-        k_text, *text, map(_FLAGS.__getitem__, flags)))) + "\n")
+        k_text, *text, map(_CSV_WORDS.__getitem__, flags)))) + "\n")
     return k_text, text
-
-
-_WORDS = {None: "n/a", False: "false", True: "true"}
 
 
 def _render(sections) -> list[str]:
     """Every line of report.txt and of `etseek check`, from (title, items) sections.
 
     A section opens with "# title". A text item reads "key: text"; any other
-    item reads "key = value", with None as n/a, bools as false/true and
-    everything else as repr (which for an int is its str).
+    item reads "key = value", the value's cell by the report's words.
     """
     lines = []
     for title, items in sections:
         lines.append(f"# {title}")
-        for key, value in items:
-            if isinstance(value, str):
-                lines.append(f"{key}: {value}")
-            elif value is None or isinstance(value, bool):
-                lines.append(f"{key} = {_WORDS[value]}")
-            else:
-                lines.append(f"{key} = {value!r}")
+        lines += [f"{key}: {value}" if isinstance(value, str)
+                  else f"{key} = {_cell(value, _REPORT_WORDS)}"
+                  for key, value in items]
     return lines
 
 
@@ -463,18 +467,16 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
     rows = []
     for entry in entries:
         result = run_experiment(entry)
-        final_error = abs(result.final_theta - entry.map_spec.theta_star)
         stats = result.event_stats
-        mean_gap = stats.mean_gap_seconds
-        rows.append((str(entry.flat()[param]), str(stats.count),
-                     "nan" if mean_gap is None else repr(mean_gap),
-                     repr(final_error), _FLAGS[result.decay.passed],
-                     repr(result.assumption.rho0)))
+        rows.append(",".join(map(_cell, (
+            entry.flat()[param], stats.count, stats.mean_gap_seconds,
+            abs(result.final_theta - entry.map_spec.theta_star),
+            result.decay.passed, result.assumption.rho0), repeat(_CSV_WORDS))))
 
     summary = Path(config.out_dir) / "summary.csv"
     summary.write_text(
         "value,event_count,mean_gap_seconds,final_theta_error,decay_pass,rho0\n"
-        + "".join(",".join(row) + "\n" for row in rows), newline="")
+        + "".join(row + "\n" for row in rows), newline="")
     return summary
 
 

@@ -94,8 +94,11 @@ class StepRecord(NamedTuple):
 class StepColumns(NamedTuple):
     """The true loop's per-iteration values as columns; index k is iteration k.
 
-    Fields follow StepRecord without k; triggered holds 0/1 flags.
+    Fields follow StepRecord without k, the record type of their rows;
+    triggered holds 0/1 flags.
     """
+
+    record = StepRecord
 
     theta_hat: array
     theta: array
@@ -136,26 +139,6 @@ def check_columns(owner: str, columns) -> None:
         raise ValueError(f"{owner} columns must have equal lengths")
     if 0 in lengths:
         raise ValueError(f"{owner} must have at least one row")
-
-
-@_trigger.checked
-class Trajectory(NamedTuple):
-    """Per-iteration columns of the true loop; its len is its row count."""
-
-    columns: StepColumns
-
-    def _check(self):
-        check_columns("Trajectory", self.columns)
-
-    @property
-    def records(self) -> RowView:
-        """StepRecord rows, each built when read; triggered is a bool."""
-        return RowView(
-            lambda k, *cells: StepRecord(k, *cells[:-1], bool(cells[-1])),
-            self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns.theta_hat)
 
 
 class EventEntry(NamedTuple):
@@ -200,6 +183,29 @@ class EventLog(NamedTuple):
         gain_k = self.gain_k
         return RowView(lambda index, k, g: EventEntry(index, k, g, -gain_k * g),
                        (self.ks, self.gradients))
+
+
+@_trigger.checked
+class Trajectory(NamedTuple):
+    """Per-iteration columns of either loop and its events; its len is its
+    row count."""
+
+    columns: StepColumns  # or average.AvgColumns
+    events: EventLog
+
+    def _check(self):
+        check_columns("Trajectory", self.columns)
+
+    @property
+    def records(self) -> RowView:
+        """Rows of the columns' record type, each built when read; triggered
+        is a bool."""
+        record = self.columns.record
+        return RowView(lambda k, *cells: record(k, *cells[:-1], bool(cells[-1])),
+                       self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
 
 def eval_map(map_spec: MapSpec, theta: float) -> float:
@@ -259,11 +265,12 @@ def run(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """Run the closed loop for n_iters iterations from k = 0.
 
     The one block of run_blocks with n_iters rows, so the columns are not
-    copied. The event log is read off its gradient and triggered columns.
+    copied. The event log is read off its gradient and triggered columns;
+    it is returned beside the trajectory that carries it.
     """
     columns, = run_blocks(map_spec, loop, trig, theta_hat0, n_iters, n_iters)
-    return (Trajectory(columns=columns),
-            event_log(loop, columns.gradient, columns.triggered))
+    traj = Trajectory(columns, event_log(loop, columns.gradient, columns.triggered))
+    return traj, traj.events
 
 
 def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,

@@ -281,7 +281,12 @@ def test_sweep_validates_all_values_before_running(tmp_path):
             ("trigger.alpha", ["0.9", "0.74", "0.90"],
              r"trigger.alpha = 0.90: the same value as trigger.alpha = 0.9$"),
             ("run.n_iters", ["1000", "01000"],
-             r"run.n_iters = 01000: the same value as run.n_iters = 1000$")]:
+             r"run.n_iters = 01000: the same value as run.n_iters = 1000$"),
+            # tokens that are not integers
+            ("run.n_iters", ["1000", "1e3"], r"run.n_iters = 1e3: "
+             r"run.n_iters: could not parse '1e3' as an integer$"),
+            ("run.n_iters", ["10", "1.0"], r"run.n_iters = 1.0: "
+             r"run.n_iters: could not parse '1.0' as an integer$")]:
         with pytest.raises(ConfigError, match=message):
             sweep(config, param, values)
         assert not (tmp_path / "sw").exists()
@@ -541,7 +546,7 @@ def test_main_mode_and_iters_overrides(tmp_path):
         assert len(list(csv.reader(fh))) == 51
 
 
-def test_main_config_errors_exit_one(tmp_path, capsys):
+def test_main_config_errors_exit_one(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.cfg"
     bad.write_text(MINIMAL.replace("sigma = 0.7", "sigma = 1.3"))
     assert main(["run", "--config", str(bad)]) == 1
@@ -556,14 +561,24 @@ def test_main_config_errors_exit_one(tmp_path, capsys):
                  "--values", "1", "--out", str(tmp_path / "sw")]) == 1
     assert "cannot sweep" in capsys.readouterr().err
     # option values go through the config's validation, not argparse's
-    # (which exits 2, the code for output errors)
-    for option, value, message in (
-            ("--iters", "1e3", "run.n_iters: could not parse '1e3' as an integer"),
-            ("--mode", "bogus", "run.mode must be one of true-loop, average, both")):
-        assert main(["run", "--config", str(REFERENCE_CFG), option, value,
-                     "--out", str(tmp_path / "never")]) == 1
+    # (which exits 2, the code for output errors); an empty --out would name
+    # the working directory. The last --out given wins.
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    sweep_args = ["--param", "trigger.alpha", "--values", "0.9"]
+    for command, option, value, message in (
+            ("run", "--iters", "1e3",
+             "run.n_iters: could not parse '1e3' as an integer"),
+            ("run", "--mode", "bogus",
+             "run.mode must be one of true-loop, average, both"),
+            ("run", "--out", "", "run.out_dir must not be empty"),
+            ("sweep", "--out", "", "run.out_dir must not be empty")):
+        extra = sweep_args if command == "sweep" else []
+        assert main([command, "--config", str(REFERENCE_CFG), *extra,
+                     "--out", str(tmp_path / "never"), option, value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "never").exists()
+        assert sorted(tmp_path.iterdir()) == before
 
 
 def test_main_non_finite_values_exit_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Loop agreement: each run's inlined loop against step-by-step composition.
 
-escore.run and average.avg_run each step their loop inline on local floats;
+escore.run_blocks and average.avg_run_blocks each step their loop inline on
+local floats, and escore.run and average.avg_run are their one block;
 escore.step and average.avg_step are the readable definition of one
 iteration. The two must agree bit for bit, not merely within tolerance:
 golden files and cross-machine reproducibility depend on identical

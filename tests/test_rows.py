@@ -1,14 +1,15 @@
 """Columnar trajectories, the columnar event log, and their on-demand row views.
 
-Trajectory and AvgTrajectory hold one column per recorded value; records is
-a read-only sequence that builds a StepRecord or AvgRecord only for the row
-asked for. EventLog holds the (ks, gradients) event columns, which
-escore.event_log reads off a run's gradient and fired columns; entries
-builds an EventEntry the same way. These tests pin that records and
-entries behave as read-only sequences (indexing, slicing, iteration, len)
-and the reads the benchmark under perfbench/ makes of them; test_types.py
-pins the column invariants. Trajectories and logs compare as the tuples of
-arrays they are.
+A Trajectory of either loop holds one column per recorded value and the
+run's EventLog; records is a read-only sequence that builds a row of the
+columns' record type, StepRecord or AvgRecord, only for the row asked for.
+EventLog holds the (ks, gradients) event columns, which escore.event_log
+reads off a run's gradient and fired columns; entries builds an EventEntry
+the same way. These tests pin that records and entries behave as read-only
+sequences (indexing, slicing, iteration, len), that each trajectory carries
+the events of its own columns, and the reads the benchmark under perfbench/
+makes of them; test_types.py pins the column invariants. Trajectories and
+logs compare as the tuples of arrays they are.
 """
 
 import math
@@ -148,6 +149,19 @@ def test_event_logs_of_identical_runs_compare_equal():
     for entry in log.entries:
         row = traj.records[entry.k]
         assert (entry.gradient, entry.control) == (row.gradient, row.control)
+
+
+def test_both_loops_carry_the_events_of_their_columns():
+    map_spec, loop, trig = reference_specs()
+    trig = trig._replace(alpha=2.0)
+    traj, log = run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 300)
+    avg = avg_run(map_spec, loop, trig, -2.5, 300)
+    assert log is traj.events
+    for t, gradient in ((traj, traj.columns.gradient), (avg, avg.columns.g_av)):
+        assert len(t.events.ks) > 2
+        assert _log_bytes(t.events) == _log_bytes(
+            event_log(loop, gradient, t.columns.triggered))
+        assert (t.events.gain_k, t.events.epsilon) == (loop.gain_k, loop.epsilon)
 
 
 def _derived_log(gradient, fired):

@@ -1,10 +1,11 @@
 """The package's value types are NamedTuples.
 
-MapSpec, LoopSpec, TriggerSpec, Trajectory, AvgTrajectory and EventLog
-check their values whenever one is made: by the constructor, by _make and
-so by _replace, and by unpickling, which is how a forked `--mode both` run
-sends its averaged half back. These tests pin that each path raises the
-constructor's ValueError, and that results survive a pickle round trip.
+MapSpec, LoopSpec, TriggerSpec, Trajectory (over either loop's columns) and
+EventLog check their values whenever one is made: by the constructor, by
+_make and so by _replace, and by unpickling, which is how a forked `--mode
+both` run sends its averaged half back. These tests pin that each path
+raises the constructor's ValueError, and that results survive a pickle
+round trip.
 """
 
 import math
@@ -60,11 +61,11 @@ def _rejected_changes():
         _case(traj, {"columns": cols._make(col[:0] for col in cols)},
               "Trajectory must have at least one row"),
         _case(avg, {"columns": acols._replace(error=acols.error[1:])},
-              "AvgTrajectory columns must have equal lengths"),
+              "Trajectory columns must have equal lengths", "-averaged"),
         _case(avg, {"columns": acols._replace(triggered=acols.triggered[1:])},
-              "AvgTrajectory columns must have equal lengths", "-triggered"),
+              "Trajectory columns must have equal lengths", "-averaged-triggered"),
         _case(avg, {"columns": acols._make(col[:0] for col in acols)},
-              "AvgTrajectory must have at least one row", "-empty"),
+              "Trajectory must have at least one row", "-averaged-empty"),
         _case(log, {"ks": array("q", [3])}, "EventLog must start at k = 0"),
         _case(log, {"ks": array("q"), "gradients": array("d")},
               "EventLog must contain the initial event"),
