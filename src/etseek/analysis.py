@@ -12,6 +12,7 @@ statistics.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
@@ -194,34 +195,31 @@ class _Envelope:
     checked row by row as a column's blocks arrive in order of k.
 
     A bound whose power of rho overflows or is inf reads inf, whatever the
-    power multiplies: a finite row passes, a NaN or infinite one fails. The
-    power only grows with k once it can overflow (rho > 1), so the first
-    row whose power is inf is found by bisection, in the first block whose
-    last power is inf, and every row from there on is checked against inf.
+    power multiplies: a finite row passes, a NaN or infinite one fails. Only
+    a rho > 1 has such powers, and they grow with k, so inf_from, the first
+    row whose power is inf, is found once by bisection; else it is sys.maxsize.
     """
 
-    __slots__ = ("name", "center", "step", "factor", "offset", "scale",
+    __slots__ = ("name", "center", "step", "factor", "offset", "rho", "scale",
                  "inf_from", "first", "worst")
 
-    def __init__(self, name, center, step, factor, offset):
+    def __init__(self, name, center, step, factor, offset, rho):
         self.name, self.center, self.step = name, center, step
-        self.factor, self.offset = factor, offset
+        self.factor, self.offset, self.rho = factor, offset, rho
         self.scale = None  # factor * |x[0] - center|, from row 0
-        self.inf_from = None  # the first row whose power is inf, once found
+        self.inf_from = sys.maxsize if not rho > 1.0 else bisect_left(
+            range(sys.maxsize), True,
+            key=lambda k: _power(rho, step * k) == math.inf)
         self.first = None
         self.worst = 0.0
 
-    def feed(self, rho: float, column, start: int) -> None:
+    def feed(self, column, start: int) -> None:
         """Check rows start, start + 1, ... of the column."""
-        center, step, offset = self.center, self.step, self.offset
+        center, step, offset, rho = self.center, self.step, self.offset, self.rho
         if start == 0:
             self.scale = self.factor * abs(column[0] - center)
-        end = start + len(column)
-        if self.inf_from is None and _power(rho, step * (end - 1)) == math.inf:
-            self.inf_from = start + bisect_left(
-                range(start, end), True,
-                key=lambda k: _power(rho, step * k) == math.inf)
-        finite_to = end if self.inf_from is None else self.inf_from
+        # k < sys.maxsize would take CPython's slow path for big ints every row
+        finite_to = min(self.inf_from, start + len(column))
         scale, inf = self.scale, math.inf
         first, worst = self.first, self.worst
         for k, x in enumerate(column, start):
@@ -256,23 +254,24 @@ class EnvelopeAccumulator:
         if not 0 <= offset_constant < math.inf:
             raise ValueError(
                 "convergence_envelopes requires a finite offset_constant >= 0")
-        self.rho = decay_rate(map_spec, loop, trig)
+        self.rho = rho = decay_rate(map_spec, loop, trig)
         self.rows = 0
-        # each envelope: (name of its column, center, step, factor, offset)
+        # each envelope: (name of its column, center, step, factor, offset, rho)
         if issubclass(columns_type, AvgColumns):
             self.envelopes = (
-                _Envelope("g_av", 0.0, 0.5, 1.0, DECAY_SLACK),
-                _Envelope("theta_tilde_av", 0.0, 0.5, 1.0, DECAY_SLACK))
+                _Envelope("g_av", 0.0, 0.5, 1.0, DECAY_SLACK, rho),
+                _Envelope("theta_tilde_av", 0.0, 0.5, 1.0, DECAY_SLACK, rho))
         else:
             self.envelopes = (
-                _Envelope("theta", map_spec.theta_star, 0.5, 1.0, offset_constant),
+                _Envelope("theta", map_spec.theta_star, 0.5, 1.0,
+                          offset_constant, rho),
                 _Envelope("y", map_spec.q_star, 1.0, 2.0,
-                          offset_constant * offset_constant))
+                          offset_constant * offset_constant, rho))
 
     def feed(self, columns) -> None:
         """Check the next rows of the run: one block of its columns."""
         for envelope in self.envelopes:
-            envelope.feed(self.rho, getattr(columns, envelope.name), self.rows)
+            envelope.feed(getattr(columns, envelope.name), self.rows)
         self.rows += len(columns[0])
 
     def report(self) -> EnvelopeReport:

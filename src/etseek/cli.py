@@ -339,13 +339,19 @@ def _fork_call(fn, *args):
     child instead, for a caller that is failing itself. The child sends its
     outcome back pickled through a pipe and leaves with os._exit, so it
     runs no exit handlers and flushes no buffer it inherited. Where os.fork
-    is missing, or other threads run (a forked copy of a threaded process
-    can deadlock), nothing is started: wait() calls fn(*args) in-process.
+    is missing or fails, or other threads run (a forked copy of a threaded
+    process can deadlock), no child runs: wait() calls fn(*args) in-process.
     """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    pid = None
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process id or memory left: EAGAIN, ENOMEM
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
         return lambda cancel=False: None if cancel else fn(*args)
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
     if pid == 0:
         code = 1
         try:

@@ -285,8 +285,9 @@ def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     block size. The loop inlines step() on local floats, and
     tests/test_kernels.py holds its rows and events to those composed from
     step()'s records, bit for bit. Keep its expressions and their order as
-    they are: golden files depend on them. Row 0 seeds the hold and so
-    never fires: its error is 0.0, or NaN from a non-finite gradient.
+    they are: golden files depend on them. The hold is seeded from
+    initial_state before row 0, so row 0's error is 0.0, or NaN from a
+    non-finite gradient, and it never fires.
     """
     if n_iters < 1 or block_rows < 1:
         raise ValueError("run requires n_iters >= 1 and block_rows >= 1")
@@ -299,7 +300,7 @@ def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     def blocks():
         sin = math.sin
         th = theta_hat0
-        held = 0.0
+        held = initial_state(map_spec, loop, theta_hat0).held_gradient
         for start in range(0, n_iters, block_rows):
             columns = StepColumns(array("d"), array("d"), array("d"), array("d"),
                                   array("d"), array("d"), array("b"))
@@ -311,10 +312,6 @@ def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
                 d = theta - theta_star
                 y = q_star + 0.5 * h_star * (d * d)
                 g = s * y
-                if k == 0:
-                    # the origin is a triggering instant: it seeds the hold,
-                    # and the error below is then exactly zero
-                    held = g
                 e = held - g
                 fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
                 if fired:

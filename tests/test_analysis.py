@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from array import array
 
@@ -10,6 +11,7 @@ import pytest
 from etseek import (
     EventLog,
     MapSpec,
+    analysis,
     avg_run,
     check_decay,
     decay_rate,
@@ -244,6 +246,34 @@ def test_envelopes_overflowing_bound_reads_inf():
     assert convergence_envelopes(avg, map_spec, loop, trig).rho == report.rho
 
 
+def _overflows(rho, x):
+    try:
+        return rho ** x == math.inf
+    except OverflowError:
+        return True
+
+
+def test_first_overflowing_row_lies_past_any_horizon():
+    # each envelope finds, once, when made, the first row whose power of rho
+    # is inf, one row after a finite power. At rho = 1 + 2**-52 it lies near
+    # 3.2e18 (step 1.0) and 6.4e18 (step 0.5), which no run reaches.
+    rows = {}
+    for rho in (1 + 2**-52, 1.0001, 2.0, 1e300, math.inf):
+        for step in (0.5, 1.0):
+            row = analysis._Envelope("x", 0.0, step, 1.0, 0.0, rho).inf_from
+            assert _overflows(rho, step * row), (rho, step)
+            assert not _overflows(rho, step * (row - 1)), (rho, step)
+            rows[rho, step] = row
+    assert rows[math.inf, 0.5] == rows[math.inf, 1.0] == 1
+    assert 3.1e18 < rows[1 + 2**-52, 1.0] < 3.3e18
+    assert 6.3e18 < rows[1 + 2**-52, 0.5] < 6.5e18 < sys.maxsize
+    # no power of a rho at most 1, or NaN, is inf
+    for rho in (0.6, 1.0, math.nan):
+        for step in (0.5, 1.0):
+            assert analysis._Envelope("x", 0.0, step, 1.0, 0.0,
+                                      rho).inf_from == sys.maxsize
+
+
 def test_checks_with_a_huge_or_infinite_rho():
     # a gain of -1e150 gives rho = 5.95e292 and one of -1e300 overflows
     # rho0 ** 2, so rho = inf; started at the optimum, each envelope's initial
@@ -318,12 +348,3 @@ def test_event_statistics_single_event():
     assert stats.mean_gap_seconds is None
     assert stats.min_gap_iters is None
     assert stats.max_gap_iters is None
-
-
-def test_event_log_invariants():
-    with pytest.raises(ValueError, match="initial event"):
-        _log([])
-    with pytest.raises(ValueError, match="start at k = 0"):
-        _log([5, 10])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        _log([0, 7, 7])

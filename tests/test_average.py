@@ -285,8 +285,9 @@ def test_avg_run_zero_start_stays_zero():
 
 def test_avg_run_rejects_empty_horizon():
     map_spec, loop, trig = reference_specs()
-    with pytest.raises(ValueError, match="n_iters >= 1"):
-        avg_run(map_spec, loop, trig, -2.5, 0)
+    for n_iters in (0, -1):
+        with pytest.raises(ValueError, match="n_iters >= 1"):
+            avg_run(map_spec, loop, trig, -2.5, n_iters)
 
 
 def test_avg_run_reference_fires_every_four_iterations():

@@ -1,6 +1,7 @@
 """Config parsing, experiment outputs, sweeps, exit codes, golden files."""
 
 import csv
+import errno
 import io
 import math
 import os
@@ -941,6 +942,30 @@ def test_running_threads_keep_both_halves_in_process(tmp_path, monkeypatch):
     assert result.decay.passed
     assert ((result.report_path.parent / "avg_trajectory.csv").read_bytes()
             == (GOLDEN_DIR / "avg_trajectory.csv").read_bytes())
+
+
+def test_failed_fork_runs_both_halves_in_process(tmp_path, monkeypatch):
+    # no process id left: the run goes on in-process and closes its pipe
+    fds, real_pipe = [], os.pipe
+
+    def pipe():
+        fds.extend(real_pipe())
+        return tuple(fds[-2:])
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    result = _run_into(tmp_path, "no-fork", REFERENCE_CFG.read_text())
+    assert len(fds) == 2
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    for name in ("trajectory.csv", "events.csv", "avg_trajectory.csv",
+                 "report.txt"):
+        assert ((result.report_path.parent / name).read_bytes()
+                == (GOLDEN_DIR / name).read_bytes()), name
 
 
 def test_main_error_in_the_forked_half_exits_two(tmp_path, capsys, monkeypatch):
