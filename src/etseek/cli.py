@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from etseek import analysis, average, escore
 from etseek.escore import LoopSpec, MapSpec
-from etseek.trigger import AssumptionReport, TriggerSpec, validate_assumption
+from etseek.trigger import AssumptionReport, TriggerSpec, checked, validate_assumption
 
 MODES = ("true-loop", "average", "both")
 
@@ -64,7 +64,11 @@ class ConfigError(ValueError):
     """Invalid configuration text, key set, value, or invariant."""
 
 
+@checked
 class ExperimentConfig(NamedTuple):
+    """A run's specs and run-level values. However one is made, it checks them
+    and raises ConfigError, naming the key, on the first rule broken."""
+
     map_spec: MapSpec
     loop_spec: LoopSpec
     trigger_spec: TriggerSpec
@@ -73,6 +77,22 @@ class ExperimentConfig(NamedTuple):
     mode: str
     offset_constant: float
     out_dir: str
+
+    def _check(self):
+        if not math.isfinite(self.theta_hat0):
+            raise ConfigError("run.theta_hat0 must be finite")
+        if self.n_iters < 1:
+            raise ConfigError("run.n_iters must be >= 1")
+        if self.mode not in MODES:
+            raise ConfigError("run.mode must be one of " + ", ".join(MODES))
+        if not 0 <= self.offset_constant < math.inf:
+            raise ConfigError("run.offset_constant must be finite and >= 0")
+        if not self.out_dir:  # Path("") is the working directory
+            raise ConfigError("run.out_dir must not be empty")
+        if self.mode != "average" and not escore.finite_phase(
+                self.loop_spec, self.n_iters):
+            raise ConfigError("the dither phase loop.omega * loop.epsilon * "
+                              "(run.n_iters - 1) must be finite")
 
     def flat(self) -> dict:
         """Every dotted config key mapped to its value in this config."""
@@ -142,16 +162,12 @@ def _convert(key, raw):
 
 
 def _build_config(values) -> ExperimentConfig:
-    """ExperimentConfig from a flat mapping of dotted keys to values.
-
-    The one validation path for config files, command-line overrides and
-    sweep entries. Values are text, or values taken from an existing config;
-    omitted optional keys get their defaults. The spec constructors check
-    the spec invariants and their errors come back naming the config key;
-    only the run-level keys are checked here.
-    """
+    """ExperimentConfig from a flat mapping of dotted keys to values: text,
+    or values of an existing config; omitted optional keys get defaults. It
+    converts and assembles only: the constructors check every value, and a
+    spec's error comes back naming its config key."""
     parsed = {key: _convert(key, raw) for key, raw in (_DEFAULTS | values).items()}
-    parts = {}
+    parts = {name: parsed[key] for key, (owner, name) in _FIELDS.items() if not owner}
     for part, spec_type in _SPECS.items():
         keys = {name: key for key, (owner, name) in _FIELDS.items() if owner == part}
         try:
@@ -161,22 +177,7 @@ def _build_config(values) -> ExperimentConfig:
             for name, key in keys.items():
                 message = message.replace(f"{spec_type.__name__}.{name} ", f"{key} ")
             raise ConfigError(message) from None
-    run = {name: parsed[key] for key, (owner, name) in _FIELDS.items() if owner is None}
-
-    problems = []
-    if not math.isfinite(run["theta_hat0"]):
-        problems.append("run.theta_hat0 must be finite")
-    if run["n_iters"] < 1:
-        problems.append("run.n_iters must be >= 1")
-    if run["mode"] not in MODES:
-        problems.append("run.mode must be one of " + ", ".join(MODES))
-    if not 0 <= run["offset_constant"] < math.inf:
-        problems.append("run.offset_constant must be finite and >= 0")
-    if not run["out_dir"]:  # Path("") is the working directory
-        problems.append("run.out_dir must not be empty")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return ExperimentConfig(**parts, **run)
+    return ExperimentConfig(**parts)
 
 
 # How None, False and True read in report.txt and in CSV files; any other value
@@ -528,8 +529,7 @@ def main(argv=None) -> int:
             overrides = {"run.mode": args.mode, "run.n_iters": args.iters,
                          "run.out_dir": args.out}
             config = _build_config(config.flat() | {
-                key: value for key, value in overrides.items()
-                if value is not None})
+                key: value for key, value in overrides.items() if value is not None})
             result = run_experiment(config)
             for path in (result.trajectory_path, result.events_path,
                          result.avg_trajectory_path, result.report_path):

@@ -219,6 +219,14 @@ def dither(loop: LoopSpec, k: int) -> float:
     return loop.amplitude_a * math.sin(loop.omega * loop.epsilon * k)
 
 
+def finite_phase(loop: LoopSpec, n_iters: int) -> bool:
+    """Whether the dither phase omega*epsilon*k is finite at every k < n_iters."""
+    try:
+        return math.isfinite(loop.omega * loop.epsilon * (n_iters - 1))
+    except OverflowError:  # n_iters - 1 is too large for a float
+        return False
+
+
 def initial_state(map_spec: MapSpec, loop: LoopSpec, theta_hat0: float) -> SimState:
     """Fresh state with the origin as a triggering instant.
 
@@ -278,8 +286,8 @@ def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """Run the closed loop for n_iters iterations from k = 0, in blocks.
 
     Returns an iterator of StepColumns: rows 0 to block_rows - 1 of the run,
-    then the next block_rows rows, and so on; the last block may be
-    shorter. Bad arguments raise here, before any block is stepped.
+    then the next block_rows rows, and so on; the last block may be shorter.
+    Bad arguments, a dither phase that overflows too, raise here, at the call.
 
     Deterministic: identical inputs give bit-identical rows, whatever the
     block size. The loop inlines step() on local floats, and
@@ -291,6 +299,8 @@ def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     """
     if n_iters < 1 or block_rows < 1:
         raise ValueError("run requires n_iters >= 1 and block_rows >= 1")
+    if not finite_phase(loop, n_iters):
+        raise ValueError("run requires a finite dither phase omega*epsilon*(n_iters - 1)")
     q_star, h_star, theta_star = map_spec.q_star, map_spec.h_star, map_spec.theta_star
     a, epsilon, gain_k = loop.amplitude_a, loop.epsilon, loop.gain_k
     alpha = trig.alpha

@@ -11,6 +11,7 @@ finiteness filter. Draws are seeded, never time-dependent.
 
 import math
 import random
+import struct
 from itertools import chain
 from pathlib import Path
 
@@ -27,6 +28,19 @@ def column_bytes(columns):
     """Typecode and bytes of each array: two runs' columns give equal lists
     only if every cell has the same bits, as their CSV cells would."""
     return [(col.typecode, col.tobytes()) for col in columns]
+
+
+def float_bits(x):
+    """The IEEE 754 bytes of a float: equal only for the very same bits."""
+    return struct.pack("<d", x)
+
+
+def overflows(rho, x):
+    """Whether rho ** x is inf, or too large to compute as a float."""
+    try:
+        return rho ** x == math.inf
+    except OverflowError:
+        return True
 
 
 def reference_specs():

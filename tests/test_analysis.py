@@ -23,7 +23,7 @@ from etseek import (
     lyapunov_sequence,
     convergence_envelopes,
 )
-from helpers import draw_specs, reference_specs
+from helpers import draw_specs, overflows, reference_specs
 
 # Frozen from a decimal evaluation of (a*h/2)*sin(1.26)*0.1^2 at the
 # reference parameters.
@@ -246,13 +246,6 @@ def test_envelopes_overflowing_bound_reads_inf():
     assert convergence_envelopes(avg, map_spec, loop, trig).rho == report.rho
 
 
-def _overflows(rho, x):
-    try:
-        return rho ** x == math.inf
-    except OverflowError:
-        return True
-
-
 def test_first_overflowing_row_lies_past_any_horizon():
     # each envelope finds, once, when made, the first row whose power of rho
     # is inf, one row after a finite power. At rho = 1 + 2**-52 it lies near
@@ -261,8 +254,8 @@ def test_first_overflowing_row_lies_past_any_horizon():
     for rho in (1 + 2**-52, 1.0001, 2.0, 1e300, math.inf):
         for step in (0.5, 1.0):
             row = analysis._Envelope("x", 0.0, step, 1.0, 0.0, rho).inf_from
-            assert _overflows(rho, step * row), (rho, step)
-            assert not _overflows(rho, step * (row - 1)), (rho, step)
+            assert overflows(rho, step * row), (rho, step)
+            assert not overflows(rho, step * (row - 1)), (rho, step)
             rows[rho, step] = row
     assert rows[math.inf, 0.5] == rows[math.inf, 1.0] == 1
     assert 3.1e18 < rows[1 + 2**-52, 1.0] < 3.3e18

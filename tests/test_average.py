@@ -2,7 +2,6 @@
 
 import math
 import random
-import struct
 
 import pytest
 
@@ -16,16 +15,12 @@ from etseek import (
     validate_assumption,
 )
 from etseek.average import AvgState
-from helpers import draw_specs, reference_specs
+from helpers import draw_specs, float_bits, reference_specs
 
 
 def _event_state(g):
     # state right at a triggering instant: hold equals the current value
     return AvgState(k=0, g_av=g, held_g_av=g)
-
-
-def _bits(x):
-    return struct.pack("<d", x)
 
 
 def test_contraction_increment_matches_assumption_report():
@@ -318,7 +313,7 @@ def test_avg_run_proportionality_along_trajectory():
         traj = avg_run(map_spec, loop, trig, rng.uniform(-5.0, 5.0), 80)
         scale = max(1.0, max(abs(r.g_av) for r in traj.records))
         for r in traj.records:
-            assert _bits(r.theta_tilde_av) == _bits(r.g_av / map_spec.h_star)
+            assert float_bits(r.theta_tilde_av) == float_bits(r.g_av / map_spec.h_star)
             assert abs(r.g_av - map_spec.h_star * r.theta_tilde_av) <= 1e-12 * scale
 
 
@@ -333,5 +328,5 @@ def test_theta_tilde_av_tracks_g_av_when_rho0_exceeds_one():
     cols = traj.columns
     assert len(traj.events.ks) == 1
     assert all(map(math.isfinite, cols.theta_tilde_av))
-    assert all(_bits(t) == _bits(g / map_spec.h_star)
+    assert all(float_bits(t) == float_bits(g / map_spec.h_star)
                for g, t in zip(cols.g_av, cols.theta_tilde_av))

@@ -32,7 +32,7 @@ from etseek import (
 )
 from etseek.average import AvgColumns
 from etseek.escore import _BLOCK_ROWS, StepColumns
-from helpers import column_bytes, reference_specs
+from helpers import column_bytes, overflows, reference_specs
 
 N_ITERS = 1000  # a multiple of none of the block sizes below but n_iters
 
@@ -101,6 +101,16 @@ def test_bad_arguments_raise_at_the_call():
         for n_iters, size in ((0, _BLOCK_ROWS), (-1, _BLOCK_ROWS), (10, 0)):
             with pytest.raises(ValueError, match="n_iters >= 1"):
                 blocks(*specs, 0.5, n_iters, size)  # no next() needed
+    # omega * epsilon * k overflows from k = 2, and 10**400 - 1 has no float;
+    # the averaged loop has no dither, so it steps these
+    map_spec, loop, trig = specs
+    fast = loop._replace(omega=1e308, epsilon=1.0)
+    for loop_spec, n_iters in ((fast, 3), (loop, 10**400)):
+        with pytest.raises(ValueError, match=r"^run requires a finite dither phase"):
+            run_blocks(map_spec, loop_spec, trig, 0.5, n_iters)
+        assert len(next(avg_run_blocks(map_spec, loop_spec, trig, 0.5, n_iters))[0])
+    # the last row whose phase is finite runs
+    assert len(next(run_blocks(map_spec, fast, trig, 0.5, 2))[0]) == 2
 
 
 def _reports(specs, true_cols, avg_cols, size, offset=0.3):
@@ -173,8 +183,8 @@ def test_rows_past_the_last_finite_power_are_checked_in_every_block():
     traj, log = run(*specs, 0.5, 40_000)
     avg = avg_run(*specs, -2.5, 40_000)
     rho = convergence_envelopes(avg, *specs).rho
-    half_inf = next(k for k in range(40_000) if _overflows(rho, 0.5 * k))
-    full_inf = next(k for k in range(40_000) if _overflows(rho, k))
+    half_inf = next(k for k in range(40_000) if overflows(rho, 0.5 * k))
+    full_inf = next(k for k in range(40_000) if overflows(rho, k))
     assert (half_inf, full_inf) == (29_801, 14_901)
     assert half_inf % 7 and half_inf % _BLOCK_ROWS
     traj.columns.theta[half_inf + 3] = math.nan
@@ -183,13 +193,6 @@ def test_rows_past_the_last_finite_power_are_checked_in_every_block():
     assert theta_check.first_violation_k == half_inf + 3
     for size in _block_sizes(40_000):
         assert _reports(specs, traj.columns, avg.columns, size) == expected, size
-
-
-def _overflows(rho, x):
-    try:
-        return rho ** x == math.inf
-    except OverflowError:
-        return True
 
 
 def test_decay_of_no_values_checks_no_pair():

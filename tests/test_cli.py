@@ -605,6 +605,98 @@ def test_main_non_finite_values_exit_one(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+_PHASE_ERROR = ("error: the dither phase loop.omega * loop.epsilon * "
+                "(run.n_iters - 1) must be finite\n")
+
+
+def _refuse_runs_longer_than(limit, monkeypatch):
+    # a 400-digit horizon that got past the checks would step, and write,
+    # until the disk is full; fail at its start instead
+    real_run_experiment = cli.run_experiment
+
+    def run_experiment(config):
+        assert config.n_iters <= limit, "a run longer than any test's started"
+        return real_run_experiment(config)
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+
+
+def test_main_overflowing_dither_phase_exits_one(tmp_path, capsys, monkeypatch):
+    # omega * epsilon * k overflows from k = 2, where sin(inf) would raise
+    # mid-run; a horizon with no float overflows too. Both stop before any
+    # file is written, and check applies the same rule to the file's horizon.
+    _refuse_runs_longer_than(300, monkeypatch)
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(_edit(_edit(REFERENCE_CFG.read_text(), "omega = 7.0",
+                               "omega = 1e308"), "epsilon = 0.18", "epsilon = 1.0"))
+    out = tmp_path / "never"
+    for config, iters in ((cfg, "10"), (REFERENCE_CFG, "1" + "0" * 400)):
+        assert main(["run", "--config", str(config), "--iters", iters,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == _PHASE_ERROR
+        assert not out.exists()
+    assert main(["check", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", _PHASE_ERROR)
+    # the phase of row 1, the last of a 2-row run, is finite
+    cfg.write_text(_edit(cfg.read_text(), "n_iters = 1000", "n_iters = 2"))
+    for mode in MODES:
+        assert main(["run", "--config", str(cfg), "--mode", mode,
+                     "--out", str(out / mode)]) == 0
+        assert (out / mode / "report.txt").exists()
+    # the averaged loop has no dither, so no horizon overflows its phase
+    cfg.write_text(_edit(cfg.read_text(), "mode = both", "mode = average"))
+    assert main(["run", "--config", str(cfg), "--iters", "300",
+                 "--out", str(out / "long")]) == 0
+
+
+# Extreme but finite config values; signs are drawn where a key takes both.
+_EXTREMES = (5e-324, 1e-300, 1e-12, 0.18, 0.5, 1.0, 7.0, 1e12, 1e154, 1e300,
+             1e308, 1.7976931348623157e308)
+
+
+def _extreme_config(rng):
+    def value(signed=True):
+        x = rng.choice(_EXTREMES) * rng.uniform(0.5, 1.0)
+        return -x if signed and rng.random() < 0.5 else x
+    p = {"q_star": value(), "h_star": value(), "theta_star": value(),
+         "a": value(False), "omega": value(False), "epsilon": value(False),
+         "k": value(), "sigma": rng.choice((5e-324, 1e-12, 0.5, 0.7, 1 - 2**-53)),
+         "alpha": value(False), "theta_hat0": value(), "n_iters": 1}
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {p[key]!r}\n" for key in keys)
+        for section, keys in (("map", ("q_star", "h_star", "theta_star")),
+                              ("loop", ("a", "omega", "epsilon", "k")),
+                              ("trigger", ("sigma", "alpha")),
+                              ("run", ("theta_hat0", "n_iters")))
+    ) + f"offset_constant = {value(False)!r}\n"
+
+
+def test_extreme_finite_configs_run_or_exit_one_with_one_error_line(
+        tmp_path, capsys, monkeypatch):
+    # every config either runs to a report.txt, or exits 1 with one error
+    # line and no output directory; no traceback, whatever the values
+    _refuse_runs_longer_than(64, monkeypatch)
+    rng = random.Random(20261019)
+    cfg = tmp_path / "extreme.cfg"
+    outcomes = []
+    for case in range(300):
+        cfg.write_text(_extreme_config(rng))
+        out = tmp_path / str(case)
+        # every 40th horizon has no float: no such run can be stepped
+        iters = "1" + "0" * 400 if case % 40 == 0 else str(rng.randint(1, 64))
+        code = main(["run", "--config", str(cfg), "--mode", "true-loop",
+                     "--iters", iters, "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and (out / "report.txt").exists()
+        else:
+            assert code == 1 and not out.exists()
+            assert err.startswith("error: ") and err.count("\n") == 1
+        outcomes.append(err if code else "ran")
+    assert "ran" not in outcomes[::40] and _PHASE_ERROR in outcomes[::40]
+    assert outcomes.count("ran") >= 30
+    assert outcomes.count(_PHASE_ERROR) >= 30
+
+
 def test_main_unwritable_output_exits_two(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("in the way")

@@ -11,7 +11,6 @@ signed zeros are compared by identity rather than IEEE equality.
 
 import math
 import random
-import struct
 
 from etseek import escore
 from etseek.average import AvgState, avg_run, avg_step
@@ -20,6 +19,7 @@ from helpers import (
     REFERENCE_THETA_HAT0,
     draw_specs,
     finite_true_runs,
+    float_bits,
     reference_specs,
 )
 
@@ -28,26 +28,22 @@ def _r(rows):
     return [tuple(repr(c) for c in row) for row in rows]
 
 
-def _bits(x):
-    return struct.pack("<d", x)
-
-
 def _events(log):
     """An EventLog's iterations and the bits of its held gradients."""
-    return list(log.ks), [_bits(g) for g in log.gradients]
+    return list(log.ks), [float_bits(g) for g in log.gradients]
 
 
 def _recompose_true(map_spec, loop, trig, theta0, n):
     """Records of n steps and the (ks, gradient bits) of their events."""
     state = initial_state(map_spec, loop, theta0)
     records = []
-    events = ([0], [_bits(state.held_gradient)])
+    events = ([0], [float_bits(state.held_gradient)])
     for _ in range(n):
         state, rec = step(map_spec, loop, trig, state)
         records.append(rec)
         if rec.triggered:
             events[0].append(rec.k)
-            events[1].append(_bits(rec.gradient))
+            events[1].append(float_bits(rec.gradient))
     return records, events
 
 
@@ -83,13 +79,13 @@ def _recompose_avg(map_spec, loop, trig, theta_tilde0, n):
     g0 = map_spec.h_star * theta_tilde0
     state = AvgState(k=0, g_av=g0, held_g_av=g0)
     rows = []
-    events = ([0], [_bits(g0)])
+    events = ([0], [float_bits(g0)])
     for _ in range(n):
         state, rec = avg_step(map_spec, loop, trig, state)
         rows.append(repr(rec))
         if rec.triggered:
             events[0].append(rec.k)
-            events[1].append(_bits(rec.g_av))
+            events[1].append(float_bits(rec.g_av))
     return rows, events
 
 
@@ -141,5 +137,5 @@ def test_avg_rows_match_avg_step_composition():
         assert _events(traj.events) == events
     # the gain-240 case: theta_tilde_av stays finite and tracks g_av / h_star
     assert all(math.isfinite(r.theta_tilde_av) and
-               _bits(r.theta_tilde_av) == _bits(r.g_av / map_spec.h_star)
+               float_bits(r.theta_tilde_av) == float_bits(r.g_av / map_spec.h_star)
                for r in traj.records)

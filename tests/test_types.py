@@ -1,11 +1,11 @@
 """The package's value types are NamedTuples.
 
-MapSpec, LoopSpec, TriggerSpec, Trajectory (over either loop's columns) and
-EventLog check their values whenever one is made: by the constructor, by
-_make and so by _replace, and by unpickling, which is how a forked `--mode
-both` run sends its averaged half back. These tests pin that each path
-raises the constructor's ValueError, and that results survive a pickle
-round trip.
+MapSpec, LoopSpec, TriggerSpec, Trajectory (over either loop's columns),
+EventLog and the CLI's ExperimentConfig check their values whenever one is
+made: by the constructor, by _make and so by _replace, and by unpickling,
+which is how a forked `--mode both` run sends its averaged half back. These
+tests pin that each path raises the constructor's ValueError (a config's
+ConfigError is one), and that results survive a pickle round trip.
 """
 
 import math
@@ -15,7 +15,8 @@ from array import array
 import pytest
 
 from etseek import analysis, avg_run, run
-from helpers import REFERENCE_THETA_HAT0, reference_specs
+from etseek.cli import parse_config
+from helpers import REFERENCE_CFG, REFERENCE_THETA_HAT0, reference_specs
 
 
 def _case(value, changes, message, tag=""):
@@ -31,6 +32,7 @@ def _rejected_changes():
     traj, log = run(map_spec, loop, trig, REFERENCE_THETA_HAT0, 20)
     avg = avg_run(map_spec, loop, trig, -2.5, 20)
     cols, acols = traj.columns, avg.columns
+    config = parse_config(REFERENCE_CFG.read_text())
     nan, inf = math.nan, math.inf
     return [
         _case(map_spec, {"h_star": 0.0}, "MapSpec.h_star must be nonzero"),
@@ -75,6 +77,20 @@ def _rejected_changes():
                 "EventLog iterations must be strictly increasing",
                 "=" + ",".join(map(str, ks)))
           for ks in ([0, 7, 7], [0, 7, 3], [0, 0])),
+        *(_case(config, {"theta_hat0": bad}, "run.theta_hat0 must be finite",
+                f"={bad!r}") for bad in (nan, inf)),
+        _case(config, {"n_iters": 0}, "run.n_iters must be >= 1"),
+        _case(config, {"mode": "averaged"},
+              "run.mode must be one of true-loop, average, both"),
+        *(_case(config, {"offset_constant": bad},
+                "run.offset_constant must be finite and >= 0", f"={bad!r}")
+          for bad in (-1.0, inf)),
+        # Path("") would be the working directory
+        _case(config, {"out_dir": ""}, "run.out_dir must not be empty"),
+        # omega * epsilon * k overflows from k = 2 of the 1000 rows
+        _case(config, {"loop_spec": loop._replace(omega=1e308, epsilon=1.0)},
+              r"the dither phase loop.omega \* loop.epsilon \* "
+              r"\(run.n_iters - 1\) must be finite"),
     ]
 
 
