@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import threading
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -118,11 +119,14 @@ class RunResult(NamedTuple):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate configuration text.
+    """The checked ExperimentConfig of configuration text; raises ConfigError
+    naming each unknown or missing key, or the first invalid value."""
+    return _build_config(_read_values(text))
 
-    Rejects unknown sections and keys, lists every missing required key at
-    once, and names the offending key and constraint for bad values.
-    """
+
+def _read_values(text: str) -> dict:
+    """Each dotted key of configuration text mapped to its raw text; rejects
+    unknown sections and keys, and lists every missing required key at once."""
     # default_section="" makes [DEFAULT] a plain, unknown section: no header
     # can name the empty section, so no keys are copied into every section
     parser = configparser.ConfigParser(
@@ -148,7 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
                if key not in values and key not in _DEFAULTS]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
-    return _build_config(values)
+    return values
 
 
 def _convert(key, raw):
@@ -163,9 +167,11 @@ def _convert(key, raw):
 
 def _build_config(values) -> ExperimentConfig:
     """ExperimentConfig from a flat mapping of dotted keys to values: text,
-    or values of an existing config; omitted optional keys get defaults. It
-    converts and assembles only: the constructors check every value, and a
-    spec's error comes back naming its config key."""
+    or values of an existing config; omitted optional keys get defaults. A
+    caller merges all of a config's values first (a file's text and a
+    command's options; a sweep's base and one token), so each is checked
+    once. It converts and assembles only: the constructors check every
+    value, and a spec's error comes back naming its config key."""
     parsed = {key: _convert(key, raw) for key, raw in (_DEFAULTS | values).items()}
     parts = {name: parsed[key] for key, (owner, name) in _FIELDS.items() if not owner}
     for part, spec_type in _SPECS.items():
@@ -487,6 +493,7 @@ def sweep(config: ExperimentConfig, param: str, values) -> Path:
     return summary
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     import argparse  # only main parses a command line
 
@@ -495,48 +502,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Event-triggered extremum seeking: simulate, average, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an option that sets a config key stores its text under that key
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("--config", required=True)
-    run_p.add_argument("--mode", help="one of " + ", ".join(MODES))
-    run_p.add_argument("--out")
-    run_p.add_argument("--iters")
+    run_p.add_argument("--mode", dest="run.mode", metavar="MODE",
+                       help="one of " + ", ".join(MODES))
+    run_p.add_argument("--out", dest="run.out_dir", metavar="OUT")
+    run_p.add_argument("--iters", dest="run.n_iters", metavar="ITERS")
 
     sweep_p = sub.add_parser("sweep", help="run one experiment per parameter value")
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--param", required=True)
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values")
-    sweep_p.add_argument("--out", required=True)
+    sweep_p.add_argument("--out", dest="run.out_dir", metavar="OUT", required=True)
 
     check_p = sub.add_parser("check", help="print the assumption report")
     check_p.add_argument("--config", required=True)
     return parser
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        config = _build_config(_read_values(text) | {
+            key: value for key, value in vars(args).items()
+            if key in _FIELDS and value is not None})
         if args.command == "run":
-            overrides = {"run.mode": args.mode, "run.n_iters": args.iters,
-                         "run.out_dir": args.out}
-            config = _build_config(config.flat() | {
-                key: value for key, value in overrides.items() if value is not None})
             result = run_experiment(config)
             for path in (result.trajectory_path, result.events_path,
                          result.avg_trajectory_path, result.report_path):
                 if path is not None:
                     print(f"wrote {path}")
         elif args.command == "sweep":
-            config = _build_config(config.flat() | {"run.out_dir": args.out})
             summary = sweep(config, args.param,
                             [v for v in args.values.split(",") if v.strip()])
             print(f"wrote {summary}")
@@ -545,12 +547,9 @@ def main(argv=None) -> int:
             print(*_render([_assumption_section(validate_assumption(
                 config.map_spec, config.loop_spec, config.trigger_spec))])[1:],
                 sep="\n")
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
     return 0
 
 

@@ -313,15 +313,32 @@ def test_sweep_writes_summary_and_per_value_directories(tmp_path):
         assert (entry_dir / "report.txt").exists()
 
 
-def test_main_run_and_check_exit_zero(tmp_path, capsys):
+def _counting_checks(monkeypatch):
+    """The list of every ExperimentConfig checked from now on, however made."""
+    checks = []
+    real_check = cli.ExperimentConfig._check
+
+    def _check(config):
+        checks.append(config)
+        real_check(config)
+
+    monkeypatch.setattr(cli.ExperimentConfig, "_check", _check)
+    return checks
+
+
+def test_main_run_and_check_exit_zero(tmp_path, capsys, monkeypatch):
+    # each command checks its one config once, its options merged in first
+    checks = _counting_checks(monkeypatch)
     assert main(["run", "--config", str(REFERENCE_CFG),
                  "--out", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert "trajectory.csv" in out and "report.txt" in out
+    assert [config.out_dir for config in checks] == [str(tmp_path / "out")]
     assert main(["check", "--config", str(REFERENCE_CFG)]) == 0
     out = capsys.readouterr().out
     assert "rho0 = 0.8488" in out
     assert "alpha_satisfies = false" in out
+    assert len(checks) == 2
 
 
 def _assumption_variants():
@@ -538,10 +555,13 @@ def test_main_run_with_nan_rows_reports_failing_checks(tmp_path):
     assert report["decay: average loop"]["passed"] is False
 
 
-def test_main_mode_and_iters_overrides(tmp_path):
+def test_main_mode_and_iters_overrides(tmp_path, monkeypatch):
+    checks = _counting_checks(monkeypatch)
     out_dir = tmp_path / "short"
     assert main(["run", "--config", str(REFERENCE_CFG), "--mode", "average",
                  "--iters", "50", "--out", str(out_dir)]) == 0
+    assert [(c.mode, c.n_iters, c.out_dir) for c in checks] == [
+        ("average", 50, str(out_dir))]
     assert not (out_dir / "trajectory.csv").exists()
     with open(out_dir / "avg_trajectory.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 51
@@ -554,13 +574,21 @@ def test_main_config_errors_exit_one(tmp_path, capsys, monkeypatch):
     assert "trigger.sigma must lie in (0,1)" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err
-    assert main(["run", "--config", str(REFERENCE_CFG), "--iters", "0",
-                 "--out", str(tmp_path / "never")]) == 1
-    assert "run.n_iters must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "never").exists()
     assert main(["sweep", "--config", str(REFERENCE_CFG), "--param", "nope",
                  "--values", "1", "--out", str(tmp_path / "sw")]) == 1
     assert "cannot sweep" in capsys.readouterr().err
+    # a file's value that an option replaces is never checked on its own;
+    # a sweep's base, the file with --out, must itself be a valid run
+    zero = tmp_path / "zero.cfg"
+    zero.write_text(_edit(MINIMAL, "n_iters = 1000", "n_iters = 0"))
+    assert main(["run", "--config", str(zero), "--iters", "10",
+                 "--out", str(tmp_path / "ten")]) == 0
+    assert (tmp_path / "ten" / "report.txt").exists()
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(zero), "--param", "run.n_iters",
+                 "--values", "10", "--out", str(tmp_path / "never")]) == 1
+    assert capsys.readouterr().err == "error: run.n_iters must be >= 1\n"
+    assert not (tmp_path / "never").exists()
     # option values go through the config's validation, not argparse's
     # (which exits 2, the code for output errors); an empty --out would name
     # the working directory. The last --out given wins.
@@ -568,6 +596,7 @@ def test_main_config_errors_exit_one(tmp_path, capsys, monkeypatch):
     before = sorted(tmp_path.iterdir())
     sweep_args = ["--param", "trigger.alpha", "--values", "0.9"]
     for command, option, value, message in (
+            ("run", "--iters", "0", "run.n_iters must be >= 1"),
             ("run", "--iters", "1e3",
              "run.n_iters: could not parse '1e3' as an integer"),
             ("run", "--mode", "bogus",
@@ -624,7 +653,7 @@ def test_main_overflowing_dither_phase_exits_one(tmp_path, capsys, monkeypatch):
     # omega * epsilon * k overflows from k = 2, where sin(inf) would raise
     # mid-run; a horizon with no float overflows too. Both stop before any
     # file is written, and check applies the same rule to the file's horizon.
-    _refuse_runs_longer_than(300, monkeypatch)
+    _refuse_runs_longer_than(1000, monkeypatch)
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(_edit(_edit(REFERENCE_CFG.read_text(), "omega = 7.0",
                                "omega = 1e308"), "epsilon = 0.18", "epsilon = 1.0"))
@@ -636,16 +665,16 @@ def test_main_overflowing_dither_phase_exits_one(tmp_path, capsys, monkeypatch):
         assert not out.exists()
     assert main(["check", "--config", str(cfg)]) == 1
     assert capsys.readouterr() == ("", _PHASE_ERROR)
-    # the phase of row 1, the last of a 2-row run, is finite
-    cfg.write_text(_edit(cfg.read_text(), "n_iters = 1000", "n_iters = 2"))
+    # options apply before the one check, so they can make the file's run
+    # valid: the phase of row 1, the last of a 2-row run, is finite
     for mode in MODES:
-        assert main(["run", "--config", str(cfg), "--mode", mode,
+        assert main(["run", "--config", str(cfg), "--mode", mode, "--iters", "2",
                      "--out", str(out / mode)]) == 0
         assert (out / mode / "report.txt").exists()
     # the averaged loop has no dither, so no horizon overflows its phase
-    cfg.write_text(_edit(cfg.read_text(), "mode = both", "mode = average"))
-    assert main(["run", "--config", str(cfg), "--iters", "300",
+    assert main(["run", "--config", str(cfg), "--mode", "average",
                  "--out", str(out / "long")]) == 0
+    assert (out / "long" / "report.txt").exists()
 
 
 # Extreme but finite config values; signs are drawn where a key takes both.
@@ -739,10 +768,14 @@ def test_run_at_the_optimum_passes_where_twice_a_power_overflows(tmp_path):
         "envelopes: true loop (offset_constant = 0.3)"]["y"] == "pass"
 
 
-def test_main_sweep_end_to_end(tmp_path, capsys):
+def test_main_sweep_end_to_end(tmp_path, capsys, monkeypatch):
+    # the base (the file with --out) is checked once, then each entry once
+    checks = _counting_checks(monkeypatch)
     assert main(["sweep", "--config", str(REFERENCE_CFG),
                  "--param", "trigger.sigma", "--values", "0.3,0.5,0.7",
                  "--out", str(tmp_path / "sw")]) == 0
+    assert [c.out_dir for c in checks] == [
+        str(tmp_path / "sw" / name) for name in ("", "0.3", "0.5", "0.7")]
     assert "summary.csv" in capsys.readouterr().out
     with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 4
@@ -1125,14 +1158,14 @@ def test_failing_true_half_kills_and_reaps_the_child(tmp_path, monkeypatch):
 
 
 def test_run_memory_does_not_grow_with_the_horizon(tmp_path):
-    # each half steps, writes and checks 256 rows at a time, so a run of 50k
-    # rows peaks within 64 KB of one of 5k: one column of the 45k rows more
-    # would take 360 KB. The true loop of this config fires on most rows.
+    # each half steps, writes and checks 256 rows at a time, so a run of 20k
+    # rows peaks within 64 KB of one of 2k: one float column of the 18k rows
+    # more would take 144 KB. The true loop of this config fires on most rows.
     import tracemalloc
     config = parse_config(_many_fires_config_text())
     for mode in ("true-loop", "average"):
         peaks = []
-        for n_iters in (5_000, 50_000):
+        for n_iters in (2_000, 20_000):
             entry = config._replace(n_iters=n_iters, mode=mode,
                                     out_dir=str(tmp_path / f"{mode}-{n_iters}"))
             tracemalloc.start()
