@@ -140,11 +140,9 @@ class DecayAccumulator:
 
     def feed(self, values: Sequence[float]) -> None:
         """Check the pairs that the next V values close."""
-        if not values:
-            return
         rows = iter(values)
         start = self.rows
-        prev = next(rows) if start == 0 else self.last
+        prev = next(rows, None) if start == 0 else self.last  # None if no rows
         rho = self.rho
         finite = rho < math.inf
         first, worst = self.first, self.worst
@@ -216,7 +214,7 @@ class _Envelope:
     def feed(self, column, start: int) -> None:
         """Check rows start, start + 1, ... of the column."""
         center, step, offset, rho = self.center, self.step, self.offset, self.rho
-        if start == 0:
+        if start == 0 and column:  # a zero-row block is not the run's first
             self.scale = self.factor * abs(column[0] - center)
         # k < sys.maxsize would take CPython's slow path for big ints every row
         finite_to = min(self.inf_from, start + len(column))

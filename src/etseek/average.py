@@ -104,8 +104,10 @@ def closed_form_between_events(map_spec: MapSpec, loop: LoopSpec,
 def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
                              trig: _trigger.TriggerSpec,
                              g_at_event: float) -> int:
-    """Smallest n >= 1 at which the trigger must have fired, in closed form.
+    """First n >= 1 where the closed form meets alpha*|e| >= sqrt(sigma)*|g|.
 
+    The loop fires only on the strict bound, so it need not fire at a tie:
+    g_at_event = 0.0 gives 1, yet avg_run from theta_tilde0 = 0.0 never fires.
     At x = n*c_g the closed form has |e| = |x|*|g0| and |g| = |1 - x|*|g0|,
     so the bound alpha*|e| >= r*|g|, r = sqrt(sigma), reads alpha*|x| >=
     r*|1 - x|. It first holds at x = r/(r + alpha) for c_g > 0 (and stops

@@ -126,7 +126,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _read_values(text: str) -> dict:
     """Each dotted key of configuration text mapped to its raw text; rejects
-    unknown sections and keys, and lists every missing required key at once."""
+    unknown sections and keys. _build_config lists missing ones after merging."""
     # default_section="" makes [DEFAULT] a plain, unknown section: no header
     # can name the empty section, so no keys are copied into every section
     parser = configparser.ConfigParser(
@@ -147,11 +147,6 @@ def _read_values(text: str) -> dict:
     unknown += [key for key in values if key not in _FIELDS]
     if unknown:
         raise ConfigError("unknown keys: " + ", ".join(sorted(unknown)))
-
-    missing = [key for key in _FIELDS
-               if key not in values and key not in _DEFAULTS]
-    if missing:
-        raise ConfigError("missing required keys: " + ", ".join(missing))
     return values
 
 
@@ -170,9 +165,13 @@ def _build_config(values) -> ExperimentConfig:
     or values of an existing config; omitted optional keys get defaults. A
     caller merges all of a config's values first (a file's text and a
     command's options; a sweep's base and one token), so each is checked
-    once. It converts and assembles only: the constructors check every
-    value, and a spec's error comes back naming its config key."""
-    parsed = {key: _convert(key, raw) for key, raw in (_DEFAULTS | values).items()}
+    once. It lists every missing required key, then converts and assembles:
+    the constructors check every value; a spec's error names its config key."""
+    values = _DEFAULTS | values
+    missing = [key for key in _FIELDS if key not in values]
+    if missing:
+        raise ConfigError("missing required keys: " + ", ".join(missing))
+    parsed = {key: _convert(key, raw) for key, raw in values.items()}
     parts = {name: parsed[key] for key, (owner, name) in _FIELDS.items() if not owner}
     for part, spec_type in _SPECS.items():
         keys = {name: key for key, (owner, name) in _FIELDS.items() if owner == part}

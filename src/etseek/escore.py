@@ -349,7 +349,7 @@ def event_ks(fired, start: int = 0):
     it is counted once. The one rule for reading events off a run's rows.
     """
     ks = compress(range(start, start + len(fired)), fired)
-    return chain((0,), ks) if start == 0 else ks
+    return chain((0,), ks) if start == 0 and len(fired) else ks
 
 
 def event_log(loop: LoopSpec, gradient: array, fired: array) -> EventLog:

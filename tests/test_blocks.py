@@ -195,8 +195,53 @@ def test_rows_past_the_last_finite_power_are_checked_in_every_block():
         assert _reports(specs, traj.columns, avg.columns, size) == expected, size
 
 
-def test_decay_of_no_values_checks_no_pair():
-    specs = reference_specs()
-    report = check_decay([], *specs)
-    assert (report.checked, report.passed, report.first_violation_k,
-            report.max_excess) == (0, True, None, 0.0)
+def _accumulator(name, specs):
+    """One check that etseek run feeds: feed(i, block, avg_block) with the
+    run's blocks whose first row is i, and the check's report()."""
+    if name == "true envelopes":
+        acc = EnvelopeAccumulator(StepColumns, *specs, 0.3)
+        return lambda i, block, avg_block: acc.feed(block), acc.report
+    if name == "average envelopes":
+        acc = EnvelopeAccumulator(AvgColumns, *specs)
+        return lambda i, block, avg_block: acc.feed(avg_block), acc.report
+    if name == "decay":
+        acc = DecayAccumulator(*specs)
+        return (lambda i, block, avg_block:
+                acc.feed(lyapunov_values(avg_block.g_av)), acc.report)
+    acc = EventAccumulator(specs[1].epsilon)
+    return (lambda i, block, avg_block:
+            acc.feed(event_ks(block.triggered, i)), acc.stats)
+
+
+@pytest.mark.parametrize("name", ["true envelopes", "average envelopes",
+                                  "decay", "events"])
+def test_a_zero_row_block_changes_no_report(name):
+    # a zero-row block fed first holds no row 0: no envelope's scale and no
+    # origin event; fed nothing else, a check reports as if never fed
+    specs = _cases()[2][1]  # many fires: events with gaps
+    traj, _ = run(*specs, 0.5, N_ITERS)
+    avg = avg_run(*specs, 0.5 - specs[0].theta_star, N_ITERS)
+    blocks = list(zip(_split(traj.columns, _BLOCK_ROWS),
+                      (block for _, block in _split(avg.columns, _BLOCK_ROWS))))
+    empty = tuple(cols._make(col[:0] for col in cols)
+                  for cols in (traj.columns, avg.columns))
+
+    def report(where=None):
+        """The report of the run, with a zero-row block fed before block
+        where, or after the last one if where is len(blocks)."""
+        feed, report_of = _accumulator(name, specs)
+        for at, ((i, block), avg_block) in enumerate(blocks):
+            if at == where:
+                feed(i, *empty)
+            feed(i, block, avg_block)
+        if where == len(blocks):
+            feed(N_ITERS, *empty)
+        return repr(report_of())
+
+    expected = report()
+    for where in range(len(blocks) + 1):
+        assert report(where) == expected, where
+    feed, report_of = _accumulator(name, specs)
+    unfed = repr(report_of())
+    feed(0, *empty)
+    assert repr(report_of()) == unfed

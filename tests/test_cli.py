@@ -589,6 +589,24 @@ def test_main_config_errors_exit_one(tmp_path, capsys, monkeypatch):
                  "--values", "10", "--out", str(tmp_path / "never")]) == 1
     assert capsys.readouterr().err == "error: run.n_iters must be >= 1\n"
     assert not (tmp_path / "never").exists()
+    # a required key may come from the option that sets it; without that
+    # option, run, check and a sweep of the key each name it missing
+    no_iters = tmp_path / "no-iters.cfg"
+    no_iters.write_text(_edit(MINIMAL, "n_iters = 1000\n", ""))
+    assert main(["run", "--config", str(no_iters), "--iters", "10",
+                 "--out", str(tmp_path / "iters")]) == 0
+    assert (tmp_path / "iters" / "report.txt").exists()
+    with open(tmp_path / "iters" / "trajectory.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 10
+    capsys.readouterr()
+    for command, extra in (
+            ("run", ["--out", str(tmp_path / "never")]), ("check", []),
+            ("sweep", ["--param", "run.n_iters", "--values", "10",
+                       "--out", str(tmp_path / "never")])):
+        assert main([command, "--config", str(no_iters), *extra]) == 1
+        assert capsys.readouterr() == (
+            "", "error: missing required keys: run.n_iters\n")
+        assert not (tmp_path / "never").exists()
     # option values go through the config's validation, not argparse's
     # (which exits 2, the code for output errors); an empty --out would name
     # the working directory. The last --out given wins.

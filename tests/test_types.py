@@ -2,10 +2,11 @@
 
 MapSpec, LoopSpec, TriggerSpec, Trajectory (over either loop's columns),
 EventLog and the CLI's ExperimentConfig check their values whenever one is
-made: by the constructor, by _make and so by _replace, and by unpickling,
-which is how a forked `--mode both` run sends its averaged half back. These
-tests pin that each path raises the constructor's ValueError (a config's
-ConfigError is one), and that results survive a pickle round trip.
+made: by the constructor, by _make and so by _replace, and by unpickling.
+These tests pin that each path raises the constructor's ValueError (a
+config's ConfigError is one), and that results survive a pickle round trip.
+A forked `--mode both` run sends its averaged half back pickled, but as
+EventStats, DecayReport, EnvelopeReport and a Path, none of them checked.
 """
 
 import math
