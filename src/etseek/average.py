@@ -181,8 +181,9 @@ def avg_run_blocks(map_spec: MapSpec, loop: LoopSpec,
     Returns an iterator of AvgColumns of block_rows rows each, as
     escore.run_blocks does; bad arguments raise here. Seeds g_av[0] =
     h_star * theta_tilde0 and makes the origin a triggering instant,
-    mirroring the true loop's initialization, so row 0 never fires.
-    Deterministic, whatever the block size. The loop inlines avg_step() on
+    mirroring the true loop's initialization, so row 0 never fires. As in
+    run_blocks, each block's columns are allocated at its row count and
+    filled by index. Deterministic, whatever the block size. The loop inlines avg_step() on
     local floats, and tests/test_kernels.py holds its rows and events to
     those composed from avg_step()'s records, bit for bit. Keep its
     expressions and their order as they are: golden files depend on them.
@@ -198,21 +199,23 @@ def avg_run_blocks(map_spec: MapSpec, loop: LoopSpec,
     def blocks():
         g = h_star * theta_tilde0
         held = g
+        zero = array("d", (0.0,))
         for start in range(0, n_iters, block_rows):
-            columns = AvgColumns(array("d"), array("d"), array("d"), array("b"))
-            add_g, add_tt, add_e, add_fired = (col.append for col in columns)
-            for _ in range(min(block_rows, n_iters - start)):
+            rows = min(block_rows, n_iters - start)
+            columns = AvgColumns(zero * rows, zero * rows, zero * rows,
+                                 array("b", bytes(rows)))
+            g_col, tt_col, e_col, fired_col = columns
+            for i in range(rows):
                 e = held - g
-                fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
-                if fired:
+                if root_sigma * abs(g) - alpha * abs(e) < 0.0:  # fired
                     held = g
                     e_post = 0.0
+                    fired_col[i] = 1
                 else:
                     e_post = e
-                add_g(g)
-                add_tt(g / h_star)
-                add_e(e)
-                add_fired(fired)
+                g_col[i] = g
+                tt_col[i] = g / h_star
+                e_col[i] = e
                 g = rho0 * g - c_g * e_post
             yield columns
 

@@ -289,6 +289,8 @@ def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     then the next block_rows rows, and so on; the last block may be shorter.
     Bad arguments, a dither phase that overflows too, raise here, at the call.
 
+    Each block's columns are allocated at its row count, the flags zeroed,
+    and the loop fills them by index, setting a flag only on a fire.
     Deterministic: identical inputs give bit-identical rows, whatever the
     block size. The loop inlines step() on local floats, and
     tests/test_kernels.py holds its rows and events to those composed from
@@ -311,29 +313,30 @@ def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
         sin = math.sin
         th = theta_hat0
         held = initial_state(map_spec, loop, theta_hat0).held_gradient
+        zero = array("d", (0.0,))
         for start in range(0, n_iters, block_rows):
-            columns = StepColumns(array("d"), array("d"), array("d"), array("d"),
-                                  array("d"), array("d"), array("b"))
-            add_th, add_theta, add_y, add_g, add_e, add_u, add_fired = (
-                col.append for col in columns)
-            for k in range(start, min(start + block_rows, n_iters)):
+            rows = min(block_rows, n_iters - start)
+            columns = StepColumns(zero * rows, zero * rows, zero * rows,
+                                  zero * rows, zero * rows, zero * rows,
+                                  array("b", bytes(rows)))
+            th_col, theta_col, y_col, g_col, e_col, u_col, fired_col = columns
+            for i, k in enumerate(range(start, start + rows)):
                 s = a * sin(we * k)
                 theta = th + s
                 d = theta - theta_star
                 y = q_star + 0.5 * h_star * (d * d)
                 g = s * y
                 e = held - g
-                fired = root_sigma * abs(g) - alpha * abs(e) < 0.0
-                if fired:
+                if root_sigma * abs(g) - alpha * abs(e) < 0.0:  # fired
                     held = g
+                    fired_col[i] = 1
                 u = -gain_k * held
-                add_th(th)
-                add_theta(theta)
-                add_y(y)
-                add_g(g)
-                add_e(e)
-                add_u(u)
-                add_fired(fired)
+                th_col[i] = th
+                theta_col[i] = theta
+                y_col[i] = y
+                g_col[i] = g
+                e_col[i] = e
+                u_col[i] = u
                 th = th + epsilon * u
             yield columns
 

@@ -8,10 +8,12 @@ import pytest
 from etseek import (
     TriggerSpec,
     avg_run,
+    avg_run_blocks,
     avg_step,
     closed_form_between_events,
     contraction_increment,
     min_inter_event_estimate,
+    run_blocks,
     validate_assumption,
 )
 from etseek.average import AvgState
@@ -330,3 +332,32 @@ def test_theta_tilde_av_tracks_g_av_when_rho0_exceeds_one():
     assert all(map(math.isfinite, cols.theta_tilde_av))
     assert all(float_bits(t) == float_bits(g / map_spec.h_star)
                for g, t in zip(cols.g_av, cols.theta_tilde_av))
+
+
+def _tracking_gap(map_spec, loop, trig, theta_hat0):
+    """max over k of |theta_hat - theta_star - theta_tilde_av| over the
+    horizon round(8 / c_g), both loops stepped in blocks side by side."""
+    n_iters = round(8.0 / contraction_increment(map_spec, loop))
+    theta_tilde0 = theta_hat0 - map_spec.theta_star
+    gap = 0.0
+    for true_block, avg_block in zip(
+            run_blocks(map_spec, loop, trig, theta_hat0, n_iters),
+            avg_run_blocks(map_spec, loop, trig, theta_tilde0, n_iters)):
+        gap = max(gap, max(abs(th - map_spec.theta_star - tt) for th, tt in
+                           zip(true_block.theta_hat, avg_block.theta_tilde_av)))
+    return gap
+
+
+def test_averaged_loop_is_the_first_order_average_of_the_true_loop():
+    # Discrete-time averaging: as the gain shrinks, the true loop tracks its
+    # averaged twin with an error of first order in c_g, so halving the gain
+    # halves the gap. With q_star = 0 the dither ripple adds no constant,
+    # and alpha = 1e300 fires on (nearly) every row in both loops; the
+    # triggered loops are not first order (README "Library use").
+    map_spec, loop, trig = reference_specs()
+    map_spec = map_spec._replace(q_star=0.0)
+    trig = trig._replace(alpha=1e300)
+    gaps = [_tracking_gap(map_spec, loop._replace(gain_k=gain_k), trig, 2.0)
+            for gain_k in (-2.5, -1.25, -0.625)]
+    ratios = [big / small for big, small in zip(gaps, gaps[1:])]
+    assert all(1.9 <= ratio <= 2.1 for ratio in ratios), (gaps, ratios)

@@ -11,7 +11,9 @@ order of every field count.
 """
 
 import math
+import random
 from array import array
+from itertools import cycle, islice
 
 import pytest
 
@@ -30,9 +32,16 @@ from etseek import (
     run,
     run_blocks,
 )
+from etseek.analysis import _FLOOR_ROWS, _Envelope
 from etseek.average import AvgColumns
 from etseek.escore import _BLOCK_ROWS, StepColumns
-from helpers import column_bytes, overflows, reference_specs
+from helpers import (
+    column_bytes,
+    finite_true_runs,
+    float_bits,
+    overflows,
+    reference_specs,
+)
 
 N_ITERS = 1000  # a multiple of none of the block sizes below but n_iters
 
@@ -245,3 +254,171 @@ def test_a_zero_row_block_changes_no_report(name):
     unfed = repr(report_of())
     feed(0, *empty)
     assert repr(report_of()) == unfed
+
+
+# --- The envelope floor ---------------------------------------------------------
+#
+# _Envelope skips the power of rho on a row whose |x - center| is at most a
+# floor proven to lie under every bound of its chunk of _FLOOR_ROWS rows. The
+# reference below is the check without it: every row pays its power. The
+# floor must give the very first_violation_k, passed and max_excess bits.
+
+def _bound(envelope, scale, k):
+    """Row k's bound, as the check without a floor computes it."""
+    exponent = envelope.step * k
+    if overflows(envelope.rho, exponent):
+        return math.inf
+    return envelope.rho ** exponent * scale + envelope.offset
+
+
+def _row_by_row(envelope, column):
+    """(first_violation_k, max_excess) of the column, row by row."""
+    center = envelope.center
+    scale = envelope.factor * abs(column[0] - center) if column else None
+    first, worst = None, 0.0
+    for k, x in enumerate(column):
+        excess = abs(x - center) - _bound(envelope, scale, k)
+        if not excess <= 0.0:
+            if first is None:
+                first = k
+            if excess > worst:
+                worst = excess
+    return first, worst
+
+
+_SIZES = (0, 1, _FLOOR_ROWS - 1, _FLOOR_ROWS, _FLOOR_ROWS + 1, _BLOCK_ROWS)
+
+
+def _feeds(n):
+    """Block sizes that feed n rows: one block, and each rotation of _SIZES
+    repeated, so that chunks start at many different rows of the column."""
+    yield [n]
+    for turn in range(len(_SIZES)):
+        sizes, fed = [], 0
+        for size in islice(cycle(_SIZES), turn, None):
+            if fed >= n:
+                break
+            sizes.append(min(size, n - fed))
+            fed += sizes[-1]
+        yield sizes
+
+
+def _floored(envelope_args, column, sizes):
+    envelope = _Envelope(*envelope_args)
+    start = 0
+    for size in sizes:
+        envelope.feed(column[start:start + size], start)
+        start += size
+    check = envelope.check()
+    return check.first_violation_k, check.passed, float_bits(check.max_excess)
+
+
+def _expected(envelope_args, column):
+    first, worst = _row_by_row(_Envelope(*envelope_args), column)
+    return first, first is None, float_bits(worst)
+
+
+# (name, center, step, factor, offset, rho), x[0], rows: each case puts some
+# rule of the floor to the test
+_FLOOR_CASES = [
+    ("rho < 1", (0.0, 0.5, 1.0, 0.3, 0.9), 1.7, 300),
+    ("rho < 1, slow", (0.0, 1.0, 2.0, 1e-12, 1.0 - 1e-7), -0.4, 300),
+    ("rho near 1, off center", (2.5, 0.5, 1.0, 0.3, 0.9999), 3.1, 200),
+    ("offset 0", (0.0, 1.0, 2.0, 0.0, 0.8), 5.0, 300),
+    ("rho == 1", (0.0, 0.5, 1.0, 0.3, 1.0), 2.0, 200),
+    ("rho > 1", (0.0, 1.0, 2.0, 0.09, 1.01), 0.5, 300),
+    ("rho > 1, inf_from inside a chunk", (0.0, 1.0, 1.0, 0.3, 1e10), 0.5, 100),
+    ("rho > 1, inf_from at row 617", (0.0, 0.5, 1.0, 0.3, 10.0), 0.5, 640),
+    ("rho = inf", (0.0, 0.5, 1.0, 0.3, math.inf), 0.5, 100),
+    ("rho = NaN", (0.0, 0.5, 1.0, 0.3, math.nan), 0.5, 100),
+    ("power underflows", (0.0, 1.0, 1.0, 0.3, 1e-3), 0.5, 200),
+    ("power underflows, offset 0", (0.0, 1.0, 1.0, 0.0, 1e-3), 0.5, 200),
+    ("scale 0, power underflows", (0.0, 1.0, 2.0, 0.3, 1e-3), 0.0, 200),
+    ("scale inf, power underflows", (0.0, 1.0, 2.0, 0.3, 1e-3), 1e308, 200),
+    ("scale NaN, power underflows", (0.0, 1.0, 2.0, 0.3, 1e-3), math.nan, 200),
+    ("scale inf, x[0] inf", (0.0, 0.5, 1.0, 0.3, 0.9), math.inf, 100),
+    ("negative scale", (0.0, 0.5, -1.0, 0.3, 0.9), 1.0, 200),
+    ("bound overflows, rho > 1", (0.0, 1.0, 1.0, 0.3, 4.0), 1e300, 300),
+    ("bound overflows, rho < 1", (0.0, 0.5, 1.0, 1e308, 0.99), 1e308, 200),
+]
+
+
+def _base_column(rng, envelope, x0, n):
+    """x[0] and n - 1 rows that each meet their bound: at it, an ulp under
+    it, well under it, or a zero of either sign. A row whose bound is not
+    finite gets a finite value at most offset, so that a floor of offset
+    would skip it."""
+    column = array("d", [x0])
+    scale = envelope.factor * abs(x0 - envelope.center)
+    for k in range(1, n):
+        bound = _bound(envelope, scale, k)
+        if math.isfinite(bound) and bound >= 0.0:
+            d = rng.choice((bound, math.nextafter(bound, -math.inf),
+                            bound * rng.random(), 0.0))
+        else:
+            d = rng.choice((0.0, envelope.offset * rng.random(), envelope.offset))
+        x = rng.choice((-0.0, 0.0)) if d == 0.0 else rng.choice((d, -d))
+        column.append(envelope.center + x)
+    return column
+
+
+def _violations(rng, envelope, column):
+    """Each row that can fail its bound, put into copies of the column at
+    both ends of chunks, on block edges and at random rows."""
+    n = len(column)
+    scale = envelope.factor * abs(column[0] - envelope.center)
+    rows = {1, 2, n - 1, *rng.sample(range(1, n), 4)}
+    for edge in range(_FLOOR_ROWS, n, _FLOOR_ROWS):
+        rows.update({edge - 2, edge - 1, edge, edge + 1})
+    for k in sorted(r for r in rows if 0 < r < n):
+        bound = _bound(envelope, scale, k)
+        over = [math.nan, math.inf, -math.inf]
+        if math.isfinite(bound):
+            over += [math.nextafter(bound, math.inf), bound * (1.0 + rng.random())]
+        for value in over:
+            bad = array("d", column)
+            bad[k] = envelope.center + value
+            yield bad
+
+
+@pytest.mark.parametrize("name, envelope_args, x0, n", _FLOOR_CASES,
+                         ids=[case[0] for case in _FLOOR_CASES])
+def test_the_envelope_floor_moves_no_verdict_and_no_bit(name, envelope_args,
+                                                          x0, n):
+    args = (name, *envelope_args)
+    rng = random.Random(f"floor:{name}")
+    base = _base_column(rng, _Envelope(*args), x0, n)
+    copies = list(_violations(rng, _Envelope(*args), base))
+    failed = 0
+    for column in (base, *copies):
+        expected = _expected(args, column)
+        failed += expected[0] is not None
+        for sizes in _feeds(n):
+            assert _floored(args, column, sizes) == expected, (column, sizes)
+    # each copy fails at its row, or earlier; off center, x - center rounds
+    assert failed >= len(copies) if envelope_args[0] == 0.0 else failed > 20
+
+
+def test_envelope_accumulators_match_the_row_by_row_check():
+    runs = [(specs, theta_hat0, n_iters)
+            for _, specs, theta_hat0, n_iters in _cases()]
+    runs += [(specs, traj.columns.theta_hat[0], len(traj))
+             for specs, traj, _ in finite_true_runs(seed=405, count=8,
+                                                   n_iters=300)]
+    for specs, theta_hat0, n_iters in runs:
+        traj, _ = run(*specs, theta_hat0, n_iters)
+        avg = avg_run(*specs, theta_hat0 - specs[0].theta_star, n_iters)
+        for columns in (traj.columns, avg.columns):
+            for sizes in _feeds(n_iters):
+                acc = EnvelopeAccumulator(type(columns), *specs, 0.3)
+                start = 0
+                for size in sizes:
+                    acc.feed(type(columns)(*(col[start:start + size]
+                                             for col in columns)))
+                    start += size
+                for envelope, check in zip(acc.envelopes, acc.report().checks):
+                    first, worst = _row_by_row(envelope,
+                                               getattr(columns, check.name))
+                    assert (check.first_violation_k, check.passed,
+                            float_bits(check.max_excess)) == \
+                        (first, first is None, float_bits(worst)), sizes
