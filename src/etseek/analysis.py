@@ -21,8 +21,6 @@ from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
 from etseek.trigger import TriggerSpec, contraction_increment
 
 DECAY_SLACK = 1e-12
-# Rows of an envelope check that share one floor (see _Envelope)
-_FLOOR_ROWS = 64
 
 
 class ExpansionTerms(NamedTuple):
@@ -199,22 +197,11 @@ class _Envelope:
     a rho > 1 has such powers, and they grow with k, so inf_from, the first
     row whose power is inf, is found once by bisection; else it is sys.maxsize.
 
-    The floor spares most rows their power. The rows before inf_from are
-    checked in chunks of _FLOOR_ROWS rows, and a row whose |x - center| is
-    <= its chunk's floor passes without its power; every other row, each
-    NaN or infinite one included, takes the exact expression. The floor is
-    the bound's own expression on the chunk's least power, which is at its
-    first row for a rho > 1 and at its last otherwise, shrunk by a
-    relative 2**-40. Rounding is monotone, and libm's pow errs by less than
-    an ulp where its result is a normal float, so every bound in the chunk
-    is at least the floor. Where the shrunk power is subnormal or 0 the
-    floor is offset alone, which every bound is at least, since a power
-    times a scale is >= 0. The floor is capped at the largest float, so no
-    infinite row skips a bound that overflowed: its exact excess is NaN, a
-    violation. A scale that is None, NaN, inf or negative gets no floor,
-    and a NaN rho makes every floor past row 0 NaN, which passes no row. A
-    row the floor passes has an excess <= 0.0 and would change neither
-    first nor worst, so the floor moves no verdict and no bit of max_excess.
+    Every bound is at least offset when rho >= 0 and the scale is in
+    [0, inf), as a power times such a scale is >= 0; offset is then the
+    floor, else -inf. A row with |x - center| - floor <= worst is skipped:
+    by monotone rounding its exact excess is at most that, so it can fail
+    no bound while worst is 0.0 and raise no worst after a failure.
     """
 
     __slots__ = ("name", "center", "step", "factor", "offset", "rho", "scale",
@@ -235,38 +222,22 @@ class _Envelope:
         center, step, offset, rho = self.center, self.step, self.offset, self.rho
         if start == 0 and column:  # a zero-row block is not the run's first
             self.scale = self.factor * abs(column[0] - center)
-        # rows start to finite_to - 1 have finite powers, and the rest inf
-        finite_to = max(start, min(self.inf_from, start + len(column)))
-        scale = self.scale
-        floored = scale is not None and 0.0 <= scale < math.inf
+        scale, inf_from = self.scale, self.inf_from
+        floor = offset if 0.0 <= rho and scale is not None \
+            and 0.0 <= scale < math.inf else -math.inf
         first, worst = self.first, self.worst
-        rows = iter(column)
-        for chunk in range(start, finite_to, _FLOOR_ROWS):
-            stop = min(chunk + _FLOOR_ROWS, finite_to)
-            floor = -1.0  # below every abs(x - center): no row is skipped
-            if floored:
-                power = rho ** (step * (chunk if rho > 1.0 else stop - 1))
-                power *= 1.0 - 2.0 ** -40
-                floor = min(offset if power < sys.float_info.min
-                            else power * scale + offset, sys.float_info.max)
-            for k, x in zip(range(chunk, stop), rows):
-                distance = abs(x - center)
-                if distance <= floor:
-                    continue
-                excess = distance - (rho ** (step * k) * scale + offset)
-                # a NaN excess is a violation too; it leaves worst as it is
-                if not excess <= 0.0:
-                    if first is None:
-                        first = k
-                    if excess > worst:
-                        worst = excess
-        # past inf_from the bound is inf: a row's excess is -inf, or NaN for
-        # a NaN or infinite row, which fails and leaves worst as it is
-        if first is None:
-            for k, x in enumerate(rows, finite_to):
-                if not abs(x - center) - math.inf <= 0.0:
+        for k, x in enumerate(column, start):
+            distance = abs(x - center)
+            if distance - floor <= worst:
+                continue
+            # a NaN excess is a violation too; it leaves worst as it is
+            excess = distance - (rho ** (step * k) * scale + offset
+                                 if k < inf_from else math.inf)
+            if not excess <= 0.0:
+                if first is None:
                     first = k
-                    break
+                if excess > worst:
+                    worst = excess
         self.first, self.worst = first, worst
 
     def check(self) -> EnvelopeCheck:

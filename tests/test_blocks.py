@@ -13,6 +13,7 @@ order of every field count.
 import math
 import random
 from array import array
+from fractions import Fraction
 from itertools import cycle, islice
 
 import pytest
@@ -32,7 +33,7 @@ from etseek import (
     run,
     run_blocks,
 )
-from etseek.analysis import _FLOOR_ROWS, _Envelope
+from etseek.analysis import _Envelope
 from etseek.average import AvgColumns
 from etseek.escore import _BLOCK_ROWS, StepColumns
 from helpers import (
@@ -258,10 +259,12 @@ def test_a_zero_row_block_changes_no_report(name):
 
 # --- The envelope floor ---------------------------------------------------------
 #
-# _Envelope skips the power of rho on a row whose |x - center| is at most a
-# floor proven to lie under every bound of its chunk of _FLOOR_ROWS rows. The
-# reference below is the check without it: every row pays its power. The
-# floor must give the very first_violation_k, passed and max_excess bits.
+# _Envelope skips the power of rho on a row whose |x - center| minus a floor
+# is at most the worst excess so far; the floor is offset, which every bound
+# is at least where rho >= 0 and the scale is in [0, inf), and -inf
+# elsewhere. The reference below is the check without it: every row pays its
+# power. The skip must give the very first_violation_k, passed and
+# max_excess bits, also after a first violation, when worst is no longer 0.
 
 def _bound(envelope, scale, k):
     """Row k's bound, as the check without a floor computes it."""
@@ -286,12 +289,12 @@ def _row_by_row(envelope, column):
     return first, worst
 
 
-_SIZES = (0, 1, _FLOOR_ROWS - 1, _FLOOR_ROWS, _FLOOR_ROWS + 1, _BLOCK_ROWS)
+_SIZES = (0, 1, 63, 64, 65, 256)
 
 
 def _feeds(n):
     """Block sizes that feed n rows: one block, and each rotation of _SIZES
-    repeated, so that chunks start at many different rows of the column."""
+    repeated, so that blocks start at many different rows of the column."""
     yield [n]
     for turn in range(len(_SIZES)):
         sizes, fed = [], 0
@@ -340,6 +343,9 @@ _FLOOR_CASES = [
     ("negative scale", (0.0, 0.5, -1.0, 0.3, 0.9), 1.0, 200),
     ("bound overflows, rho > 1", (0.0, 1.0, 1.0, 0.3, 4.0), 1e300, 300),
     ("bound overflows, rho < 1", (0.0, 0.5, 1.0, 1e308, 0.99), 1e308, 200),
+    # row 1's bound is 0.5 and every later bound is offset, an ulp under 0.5
+    ("offset + worst rounds up", (0.0, 1.0, 1.0, 0.5 - 2.0 ** -54, 2.0 ** -10),
+     2.0 ** -44, 200),
 ]
 
 
@@ -364,11 +370,13 @@ def _base_column(rng, envelope, x0, n):
 
 def _violations(rng, envelope, column):
     """Each row that can fail its bound, put into copies of the column at
-    both ends of chunks, on block edges and at random rows."""
+    both ends of every 64 rows, on block edges, on both sides of inf_from
+    and at random rows."""
     n = len(column)
     scale = envelope.factor * abs(column[0] - envelope.center)
-    rows = {1, 2, n - 1, *rng.sample(range(1, n), 4)}
-    for edge in range(_FLOOR_ROWS, n, _FLOOR_ROWS):
+    inf_from = envelope.inf_from
+    rows = {1, 2, n - 1, inf_from - 1, inf_from, *rng.sample(range(1, n), 4)}
+    for edge in range(64, n, 64):
         rows.update({edge - 2, edge - 1, edge, edge + 1})
     for k in sorted(r for r in rows if 0 < r < n):
         bound = _bound(envelope, scale, k)
@@ -381,6 +389,46 @@ def _violations(rng, envelope, column):
             yield bad
 
 
+def _several_violations(rng, envelope, column):
+    """Copies of the column that fail at several rows, the first of them
+    past row n // 3: with excesses that rise, fall and rise again; with NaN
+    and infinite rows after a first finite violation; and with a first
+    violation whose excess, added to offset, rounds up, then a row at that
+    rounded sum where the bound is offset. A finite excess over a bound of
+    at least offset is a whole number of offset's ulps, so only such a sum
+    across a power of two rounds."""
+    n = len(column)
+    center, offset = envelope.center, envelope.offset
+    scale = envelope.factor * abs(column[0] - center)
+    bounds = [_bound(envelope, scale, k) for k in range(n)]
+    finite = [k for k in range(n // 3, n)
+              if math.isfinite(bounds[k]) and bounds[k] >= 0.0]
+    if len(finite) >= 6:
+        rows = sorted(rng.sample(finite, 6))
+        unit = 0.25 * max(bounds[k] for k in rows) or 1e-300
+        for excesses in ((1.0, 3.0, 2.0, 5.0, 4.0, 6.0),
+                         (1.0, math.nan, 2.0, math.inf, -math.inf, 3.0)):
+            bad = array("d", column)
+            for k, excess in zip(rows, excesses):
+                bad[k] = center + (bounds[k] + excess * unit
+                                   if math.isfinite(excess) else excess)
+            yield bad
+    k = next((k for k in range(1, n) if offset < bounds[k] < math.inf), n)
+    later = [j for j in range(k + 1, n) if bounds[j] == offset]
+    if not later:
+        return
+    d = bounds[k]
+    for _ in range(8):
+        d = math.nextafter(d, math.inf)
+        worst = d - bounds[k]  # exact: d is within 8 ulps of the bound
+        if Fraction(offset + worst) > Fraction(offset) + Fraction(worst):
+            bad = array("d", column)
+            bad[k] = center + d
+            bad[rng.choice(later)] = center + (offset + worst)
+            yield bad
+            break
+
+
 @pytest.mark.parametrize("name, envelope_args, x0, n", _FLOOR_CASES,
                          ids=[case[0] for case in _FLOOR_CASES])
 def test_the_envelope_floor_moves_no_verdict_and_no_bit(name, envelope_args,
@@ -388,7 +436,8 @@ def test_the_envelope_floor_moves_no_verdict_and_no_bit(name, envelope_args,
     args = (name, *envelope_args)
     rng = random.Random(f"floor:{name}")
     base = _base_column(rng, _Envelope(*args), x0, n)
-    copies = list(_violations(rng, _Envelope(*args), base))
+    copies = [*_violations(rng, _Envelope(*args), base),
+              *_several_violations(rng, _Envelope(*args), base)]
     failed = 0
     for column in (base, *copies):
         expected = _expected(args, column)
