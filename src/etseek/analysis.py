@@ -252,6 +252,7 @@ class EnvelopeAccumulator:
     columns_type is the type of the blocks, AvgColumns for the averaged
     loop and StepColumns for the true loop; it picks the envelopes, as
     convergence_envelopes describes. report() gives the verdicts so far.
+    offset_constant must be finite and >= 0; only the true envelopes read it.
     """
 
     __slots__ = ("rho", "rows", "envelopes")
@@ -296,9 +297,10 @@ def convergence_envelopes(traj: Trajectory, map_spec: MapSpec, loop: LoopSpec,
     magnitudes, with roundoff slack only. For a true trajectory the caller
     supplies offset_constant, the residual-neighborhood radius the analysis
     leaves symbolic: the input envelope carries it additively and the output
-    envelope its square. A bound whose power of rho overflows or is inf
-    reads inf, and its rows are still checked. EnvelopeAccumulator fed the
-    whole trajectory as one block.
+    envelope its square; an averaged trajectory range-checks it, then
+    ignores it. A bound whose power of rho overflows or is inf reads inf,
+    and its rows are still checked. EnvelopeAccumulator fed the whole
+    trajectory as one block.
     """
     check = EnvelopeAccumulator(type(traj.columns), map_spec, loop, trig,
                                 offset_constant)

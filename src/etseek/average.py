@@ -3,8 +3,8 @@
 Averaging the dither out of the true loop leaves a scalar linear recursion
 for the averaged gradient estimate, driven by the held-versus-current error.
 Between events the recursion telescopes to a closed form, and where that
-form first meets the triggering bound is the smallest guaranteed spacing of
-triggering instants. avg_step defines one iteration readably;
+form first passes the loop's firing test is the smallest guaranteed
+spacing of triggering instants. avg_step defines one iteration readably;
 avg_run_blocks steps the same iteration inline, n_iters times, into blocks
 of columns, and avg_run is its one block.
 """
@@ -104,20 +104,18 @@ def closed_form_between_events(map_spec: MapSpec, loop: LoopSpec,
 def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
                              trig: _trigger.TriggerSpec,
                              g_at_event: float) -> int:
-    """First n >= 1 where the closed form meets alpha*|e| >= sqrt(sigma)*|g|.
+    """First n >= 1 at which the loop's firing test holds on the closed form.
 
-    The loop fires only on the strict bound, so it need not fire at a tie:
-    g_at_event = 0.0 gives 1, yet avg_run from theta_tilde0 = 0.0 never fires.
-    At x = n*c_g the closed form has |e| = |x|*|g0| and |g| = |1 - x|*|g0|,
-    so the bound alpha*|e| >= r*|g|, r = sqrt(sigma), reads alpha*|x| >=
-    r*|1 - x|. It first holds at x = r/(r + alpha) for c_g > 0 (and stops
-    past r/(r - alpha) if alpha < r, a stretch a large c_g steps over), and
-    at x = r/(r - alpha) for c_g < 0 if alpha > r. The integer there and its
-    neighbours are checked with the closed form and that comparison.
+    met(n) is trigger.should_trigger on closed_form_between_events at n, so
+    a tie does not fire and g_at_event = 0 never does. At x = n*c_g, |e| =
+    |x|*|g0| and |g| = |1 - x|*|g0|, so with r = sqrt(sigma) the test reads
+    alpha*|x| > r*|1 - x|. It first holds past x = r/(r + alpha) for c_g > 0
+    (and stops at r/(r - alpha) if alpha < r, a stretch a large c_g steps
+    over), and past r/(r - alpha) for c_g < 0 if alpha > r; met checks the
+    integer there and its neighbours.
 
-    Raises RuntimeError when no n meets the bound, a NaN g0 or a crossing
-    past float range included, and when rounding rather than n decides
-    where the comparison first holds.
+    Raises RuntimeError when no n meets the test, g0 = 0 or NaN included,
+    and when rounding rather than n decides where the test first holds.
     """
     c_g = _trigger.contraction_increment(map_spec, loop)
     root_sigma = math.sqrt(trig.sigma)
@@ -125,25 +123,24 @@ def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
 
     def met(n):
         g, e = closed_form_between_events(map_spec, loop, g_at_event, n)
-        return alpha * abs(e) >= root_sigma * abs(g)
+        return _trigger.should_trigger(trig, g, e)
 
-    if met(1):
-        return 1
     # alpha*|x| - r*|1 - x| grows by slope per unit of |x| at its crossing
     slope = alpha + root_sigma if c_g > 0.0 else alpha - root_sigma
-    first = root_sigma / slope / abs(c_g) if c_g and slope > 0.0 else math.inf
+    first = (root_sigma / slope / abs(c_g) if c_g and slope > 0.0
+             and g_at_event else math.inf)
     # A step moves the sides apart by slope*rate. Each side carries up to
     # four roundings: relative, or absolute below the normal range. Unless
-    # a step outgrows them twice over, and g0 is normal, the roundings and
-    # not n decide where the comparison first holds.
+    # a step outgrows them twice over, and g0 is 0 or normal, the roundings
+    # and not n decide where the test first holds.
     rate = abs(c_g * g_at_event)
     noise = (alpha + root_sigma + 2.0) * (
         4.0 * sys.float_info.epsilon * first * rate + math.ulp(0.0))
-    if abs(g_at_event) < sys.float_info.min or (
+    if 0.0 < abs(g_at_event) < sys.float_info.min or (
             first < math.inf and slope * rate <= 2.0 * noise):
         raise RuntimeError(
-            "rounding, not the iteration count, decides where the triggering "
-            "bound first holds near n = {!r} (c_g = {!r}, g_at_event = {!r})"
+            "rounding, not the iteration count, decides where the firing "
+            "test first holds near n = {!r} (c_g = {!r}, g_at_event = {!r})"
             .format(first, c_g, g_at_event))
     if first < math.inf:
         n = max(2, math.ceil(first))
@@ -155,8 +152,8 @@ def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
         if at and not before:
             return n
     raise RuntimeError(
-        "no iteration count meets the triggering bound alpha*|e| >= "
-        "sqrt(sigma)*|g|: n*c_g reaches its first crossing at n = {!r} "
+        "no iteration count meets the loop's firing test sqrt(sigma)*|g| - "
+        "alpha*|e| < 0: n*c_g reaches its first crossing at n = {!r} "
         "(c_g = {!r}, g_at_event = {!r})".format(first, c_g, g_at_event))
 
 

@@ -132,12 +132,13 @@ def test_closed_form_matches_stepping():
 
 def _scan(map_spec, loop, trig, g_at_event, stop, start=1):
     """Integer-scan oracle of min_inter_event_estimate: the first n in
-    [start, stop] at which the closed form meets the bound, or None."""
+    [start, stop] at which the closed form passes the loop's strict firing
+    test, or None."""
     c_g = contraction_increment(map_spec, loop)
     root_sigma = math.sqrt(trig.sigma)
     for n in range(start, stop + 1):
         nc = n * c_g
-        if trig.alpha * abs(nc * g_at_event) >= root_sigma * abs((1.0 - nc) * g_at_event):
+        if trig.alpha * abs(nc * g_at_event) > root_sigma * abs((1.0 - nc) * g_at_event):
             return n
     return None
 
@@ -186,12 +187,12 @@ def test_min_gap_estimate_matches_the_scan_oracle():
 
 def test_min_gap_estimate_rounding_moves_the_crossing_one_step():
     # the crossing n*c_g = r/(r + alpha) or r/(r - alpha) falls within a
-    # rounding of an integer, and the comparison settles on the other side:
-    # at n = 47, below the computed 47.000000000000014, and at n = 41, past
+    # rounding of an integer, and the strict test settles on the other side:
+    # at n = 13, below the computed 13.000000000000002, and at n = 41, past
     # the computed 40.0
     map_spec, loop, _ = reference_specs()
     for gain_k, trig, g0, k_star in (
-            (67.5447483958122, TriggerSpec(0.25, 0.75), 0.1, 47),
+            (-65.74621959237345, TriggerSpec(0.49, 0.6), 1.0, 13),
             (-21.645021645021647, TriggerSpec(0.36, 0.5), 3.0, 41)):
         case_loop = loop._replace(gain_k=gain_k)
         assert min_inter_event_estimate(map_spec, case_loop, trig, g0) == k_star
@@ -216,9 +217,19 @@ def test_min_gap_estimate_small_sigma_is_one():
     assert min_inter_event_estimate(map_spec, loop, trig, -7.3) == 1
 
 
-def test_min_gap_estimate_zero_gradient_is_one():
+def test_min_gap_estimate_does_not_fire_on_a_tie():
+    # with g0 = 0 both sides of the test are 0 at every n, and the loop
+    # logs only the origin
     map_spec, loop, trig = reference_specs()
-    assert min_inter_event_estimate(map_spec, loop, trig, 0.0) == 1
+    for g0 in (0.0, -0.0):
+        with pytest.raises(RuntimeError, match="no iteration count"):
+            min_inter_event_estimate(map_spec, loop, trig, g0)
+        ks = [e.k for e in avg_run(map_spec, loop, trig, g0, 1000).events.entries]
+        assert ks == [0]
+    # the sides tie at n = 47, so the test first holds at n = 48
+    tie = loop._replace(gain_k=67.5447483958122)
+    assert min_inter_event_estimate(map_spec, tie, TriggerSpec(0.25, 0.75),
+                                    0.1) == 48
 
 
 def test_min_gap_estimate_unsatisfiable_is_reported():
@@ -233,12 +244,12 @@ def test_min_gap_estimate_unsatisfiable_is_reported():
 
 def test_min_gap_estimate_degenerate_increments():
     map_spec, loop, trig = reference_specs()
-    # a = 1e-200 underflows c_g to 0: e stays 0, so only g0 = 0 meets the bound
+    # a = 1e-200 underflows c_g to 0: e stays 0, so the test never holds
     flat = loop._replace(amplitude_a=1e-200)
     assert contraction_increment(map_spec, flat) == 0.0
-    assert min_inter_event_estimate(map_spec, flat, trig, 0.0) == 1
-    with pytest.raises(RuntimeError, match="no iteration count"):
-        min_inter_event_estimate(map_spec, flat, trig, 1.0)
+    for g0 in (0.0, 1.0):
+        with pytest.raises(RuntimeError, match="no iteration count"):
+            min_inter_event_estimate(map_spec, flat, trig, g0)
     # a = 1e-160 gives a subnormal c_g: the crossing lies past float range,
     # even with alpha = 0.9 above sqrt(sigma)
     tiny = loop._replace(amplitude_a=1e-160)
@@ -256,17 +267,17 @@ def test_min_gap_estimate_degenerate_increments():
 
 def test_min_gap_estimate_refuses_what_rounding_decides():
     map_spec, loop, trig = reference_specs()
-    # NaN never meets the bound
+    # NaN never passes the test
     with pytest.raises(RuntimeError, match="no iteration count"):
         min_inter_event_estimate(map_spec, loop, trig, math.nan)
     # a subnormal event gradient rounds its products to a few bits: with
-    # c_g < 0 and alpha = sqrt(sigma) the bound never holds exactly, yet the
-    # comparison holds at n = 4
+    # c_g < 0 the test first holds at n = 3 in exact arithmetic, yet it
+    # holds at n = 2 in floats
     flipped = loop._replace(gain_k=-loop.gain_k)
-    even = TriggerSpec(sigma=0.5, alpha=math.sqrt(0.5))
-    assert _scan(map_spec, flipped, even, 5e-324, 10) == 4
+    skew = TriggerSpec(sigma=0.2165032151681615, alpha=1.96019617945352)
+    assert _scan(map_spec, flipped, skew, 2.5e-323, 10) == 2
     with pytest.raises(RuntimeError, match="rounding"):
-        min_inter_event_estimate(map_spec, flipped, even, 5e-324)
+        min_inter_event_estimate(map_spec, flipped, skew, 2.5e-323)
     # c_g < 0 and alpha a hair above sqrt(sigma): the crossing is near
     # n = 1e10, where one step moves the sides less than their rounding
     close = TriggerSpec(sigma=0.5, alpha=math.sqrt(0.5) * (1.0 + 1e-9))
