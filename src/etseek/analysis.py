@@ -20,6 +20,24 @@ from etseek.average import AvgColumns
 from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
 from etseek.trigger import TriggerSpec, contraction_increment
 
+__all__ = [
+    "DecayAccumulator",
+    "DecayReport",
+    "EnvelopeAccumulator",
+    "EnvelopeCheck",
+    "EnvelopeReport",
+    "EventAccumulator",
+    "EventStats",
+    "ExpansionTerms",
+    "check_decay",
+    "convergence_envelopes",
+    "decay_rate",
+    "event_statistics",
+    "gradient_expansion",
+    "lyapunov_sequence",
+    "lyapunov_values",
+]
+
 DECAY_SLACK = 1e-12
 
 

@@ -19,6 +19,16 @@ from typing import NamedTuple
 from etseek import trigger as _trigger
 from etseek.escore import _BLOCK_ROWS, LoopSpec, MapSpec, Trajectory, event_log
 
+__all__ = [
+    "AvgRecord",
+    "AvgState",
+    "avg_run",
+    "avg_run_blocks",
+    "avg_step",
+    "closed_form_between_events",
+    "min_inter_event_estimate",
+]
+
 
 class AvgState(NamedTuple):
     """Averaged-loop state: gradient estimate and hold. The parameter error
@@ -115,7 +125,8 @@ def min_inter_event_estimate(map_spec: MapSpec, loop: LoopSpec,
     integer there and its neighbours.
 
     Raises RuntimeError when no n meets the test, g0 = 0 or NaN included,
-    and when rounding rather than n decides where the test first holds.
+    and when rounding rather than n decides where the test first holds:
+    always for a nonzero subnormal g0, whose few bits can move that n.
     """
     c_g = _trigger.contraction_increment(map_spec, loop)
     root_sigma = math.sqrt(trig.sigma)

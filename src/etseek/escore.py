@@ -19,6 +19,23 @@ from typing import NamedTuple
 
 from etseek import trigger as _trigger
 
+__all__ = [
+    "EventEntry",
+    "EventLog",
+    "LoopSpec",
+    "MapSpec",
+    "SimState",
+    "StepRecord",
+    "Trajectory",
+    "dither",
+    "eval_map",
+    "event_ks",
+    "initial_state",
+    "run",
+    "run_blocks",
+    "step",
+]
+
 # Rows of a run stepped, written and checked together: small enough that a
 # block's columns and CSV text stay a few tens of kilobytes, large enough that
 # the per-block calls cost nothing next to the rows.

@@ -20,6 +20,14 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     from etseek.escore import LoopSpec, MapSpec
 
+__all__ = [
+    "AssumptionReport",
+    "TriggerSpec",
+    "contraction_increment",
+    "should_trigger",
+    "validate_assumption",
+]
+
 
 def checked(base):
     """The NamedTuple type base, made to run its _check on every instance.

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -130,15 +131,17 @@ def test_closed_form_matches_stepping():
         assert state.held_g_av - state.g_av == pytest.approx(e_av, rel=1e-13)
 
 
-def _scan(map_spec, loop, trig, g_at_event, stop, start=1):
+def _scan(map_spec, loop, trig, g_at_event, stop, start=1, number=float):
     """Integer-scan oracle of min_inter_event_estimate: the first n in
     [start, stop] at which the closed form passes the loop's strict firing
-    test, or None."""
-    c_g = contraction_increment(map_spec, loop)
-    root_sigma = math.sqrt(trig.sigma)
+    test, or None. With number=Fraction it scans the same floats in exact
+    arithmetic."""
+    c_g, root_sigma, alpha, g0 = map(number, (
+        contraction_increment(map_spec, loop), math.sqrt(trig.sigma),
+        trig.alpha, g_at_event))
     for n in range(start, stop + 1):
         nc = n * c_g
-        if trig.alpha * abs(nc * g_at_event) > root_sigma * abs((1.0 - nc) * g_at_event):
+        if alpha * abs(nc * g0) > root_sigma * abs((1 - nc) * g0):
             return n
     return None
 
@@ -159,7 +162,8 @@ def test_min_gap_estimate_reference_scan():
 
 def test_min_gap_estimate_matches_the_scan_oracle():
     # gains flipped so that c_g < 0, alpha within 1e-12 of sqrt(sigma) on
-    # either side, and event gradients from zero to 1e3 in magnitude
+    # either side, and event gradients from zero to 1e3 in magnitude; each
+    # count found is also where exact arithmetic first crosses
     rng = random.Random(205)
     limit = 2000
     outcomes = {"found": 0, "beyond limit": 0, "raised": 0}
@@ -178,11 +182,27 @@ def test_min_gap_estimate_matches_the_scan_oracle():
         elif k_star <= limit:
             outcomes["found"] += 1
             assert _scan(map_spec, loop, trig, g0, limit) == k_star
+            assert _scan(map_spec, loop, trig, g0, k_star, number=Fraction) == k_star
         else:
             outcomes["beyond limit"] += 1
             assert _scan(map_spec, loop, trig, g0, limit) is None
-            assert _scan(map_spec, loop, trig, g0, k_star, k_star - 1) == k_star
+            for number in (float, Fraction):
+                assert _scan(map_spec, loop, trig, g0, k_star, k_star - 1,
+                             number) == k_star
     assert all(outcomes.values()), outcomes
+    # nonzero subnormal event gradients of 1 to 52 bits: their products keep
+    # few bits, so floats and exact arithmetic can first cross at different
+    # n, and a count returned must be where both first cross
+    for _ in range(1000):
+        map_spec, loop, trig = draw_specs(rng)
+        if rng.random() < 0.3:
+            loop = loop._replace(gain_k=-loop.gain_k)
+        bits = rng.getrandbits(rng.randint(1, 52)) | 1
+        g0 = rng.choice([-1.0, 1.0]) * math.ldexp(bits, -1074)
+        k_star = _k_star(map_spec, loop, trig, g0)
+        if k_star is not None:
+            for number in (float, Fraction):
+                assert _scan(map_spec, loop, trig, g0, k_star, number=number) == k_star
 
 
 def test_min_gap_estimate_rounding_moves_the_crossing_one_step():
@@ -278,6 +298,15 @@ def test_min_gap_estimate_refuses_what_rounding_decides():
     assert _scan(map_spec, flipped, skew, 2.5e-323, 10) == 2
     with pytest.raises(RuntimeError, match="rounding"):
         min_inter_event_estimate(map_spec, flipped, skew, 2.5e-323)
+    # every subnormal one is refused: here a step moves the sides 46 ulps
+    # apart, 15 times the noise model's 3, yet the crossing lies at
+    # n = 1.0036, and in floats the test holds at n = 1 (39 against 38
+    # ulps) but in exact arithmetic first at n = 2
+    wide = TriggerSpec(sigma=0.05, alpha=1.25)
+    assert _scan(map_spec, loop, wide, 1e-321, 10) == 1
+    assert _scan(map_spec, loop, wide, 1e-321, 10, number=Fraction) == 2
+    with pytest.raises(RuntimeError, match="rounding"):
+        min_inter_event_estimate(map_spec, loop, wide, 1e-321)
     # c_g < 0 and alpha a hair above sqrt(sigma): the crossing is near
     # n = 1e10, where one step moves the sides less than their rounding
     close = TriggerSpec(sigma=0.5, alpha=math.sqrt(0.5) * (1.0 + 1e-9))

@@ -7,6 +7,8 @@ These tests pin that each path raises the constructor's ValueError (a
 config's ConfigError is one), and that results survive a pickle round trip.
 A forked `--mode both` run sends its averaged half back pickled, but as
 EventStats, DecayReport, EnvelopeReport and a Path, none of them checked.
+The last test pins where each public name is declared: in the __all__ of
+the module that defines it, which etseek re-exports.
 """
 
 import math
@@ -15,7 +17,8 @@ from array import array
 
 import pytest
 
-from etseek import analysis, avg_run, run
+import etseek
+from etseek import analysis, average, avg_run, escore, run, trigger
 from etseek.cli import parse_config
 from helpers import REFERENCE_CFG, REFERENCE_THETA_HAT0, reference_specs
 
@@ -125,3 +128,18 @@ def test_results_survive_a_pickle_round_trip():
         assert type(copy) is type(value)
         assert copy == value and not copy != value
         assert repr(copy) == repr(value)
+
+
+def test_each_public_name_is_declared_once_by_its_module():
+    modules = (analysis, average, escore, trigger)
+    declared = [name for module in modules for name in module.__all__]
+    assert len(set(declared)) == len(declared)
+    assert etseek.__all__ == [*declared, "__version__"]
+    for module in modules:
+        for name in module.__all__:
+            # a trigger.checked type keeps its base's module
+            assert getattr(module, name).__module__ == module.__name__, name
+            assert getattr(etseek, name) is getattr(module, name), name
+    namespace = {}
+    exec("from etseek import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(etseek.__all__)
