@@ -16,7 +16,6 @@ import sys
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
-from etseek.average import AvgColumns
 from etseek.escore import EventLog, LoopSpec, MapSpec, Trajectory
 from etseek.trigger import TriggerSpec, contraction_increment
 
@@ -267,10 +266,11 @@ class _Envelope:
 class EnvelopeAccumulator:
     """The convergence envelopes of one run, fed its column blocks in order of k.
 
-    columns_type is the type of the blocks, AvgColumns for the averaged
-    loop and StepColumns for the true loop; it picks the envelopes, as
-    convergence_envelopes describes. report() gives the verdicts so far.
-    offset_constant must be finite and >= 0; only the true envelopes read it.
+    columns_type is the type of the blocks, StepColumns or AvgColumns. The
+    run gets the envelope of each of its columns that has a row in one
+    table, in field order, as convergence_envelopes describes. report()
+    gives the verdicts so far. offset_constant must be finite and >= 0;
+    only the theta and y rows read it.
     """
 
     __slots__ = ("rho", "rows", "envelopes")
@@ -282,17 +282,13 @@ class EnvelopeAccumulator:
                 "convergence_envelopes requires a finite offset_constant >= 0")
         self.rho = rho = decay_rate(map_spec, loop, trig)
         self.rows = 0
-        # each envelope: (name of its column, center, step, factor, offset, rho)
-        if issubclass(columns_type, AvgColumns):
-            self.envelopes = (
-                _Envelope("g_av", 0.0, 0.5, 1.0, DECAY_SLACK, rho),
-                _Envelope("theta_tilde_av", 0.0, 0.5, 1.0, DECAY_SLACK, rho))
-        else:
-            self.envelopes = (
-                _Envelope("theta", map_spec.theta_star, 0.5, 1.0,
-                          offset_constant, rho),
-                _Envelope("y", map_spec.q_star, 1.0, 2.0,
-                          offset_constant * offset_constant, rho))
+        table = {  # each column's envelope: (center, step, factor, offset)
+            "theta": (map_spec.theta_star, 0.5, 1.0, offset_constant),
+            "y": (map_spec.q_star, 1.0, 2.0, offset_constant * offset_constant),
+            "g_av": (0.0, 0.5, 1.0, DECAY_SLACK),
+            "theta_tilde_av": (0.0, 0.5, 1.0, DECAY_SLACK)}
+        self.envelopes = tuple(_Envelope(name, *table[name], rho)
+                               for name in columns_type._fields if name in table)
 
     def feed(self, columns) -> None:
         """Check the next rows of the run: one block of its columns."""
@@ -310,15 +306,15 @@ def convergence_envelopes(traj: Trajectory, map_spec: MapSpec, loop: LoopSpec,
                           offset_constant: float = 0.0) -> EnvelopeReport:
     """Check the geometric convergence envelopes along a trajectory.
 
-    For an averaged trajectory the envelopes are exact and offset-free:
-    |g_av[k]| and |theta_tilde_av[k]| against rho^(k/2) times their initial
-    magnitudes, with roundoff slack only. For a true trajectory the caller
-    supplies offset_constant, the residual-neighborhood radius the analysis
-    leaves symbolic: the input envelope carries it additively and the output
-    envelope its square; an averaged trajectory range-checks it, then
-    ignores it. A bound whose power of rho overflows or is inf reads inf,
-    and its rows are still checked. EnvelopeAccumulator fed the whole
-    trajectory as one block.
+    The trajectory gets the envelope of each of its columns that has a row
+    in EnvelopeAccumulator's table. An averaged trajectory's g_av and
+    theta_tilde_av are exact and offset-free: rho^(k/2) times their initial
+    magnitudes, with roundoff slack only. Only a true trajectory's theta and
+    y read offset_constant, the residual-neighborhood radius the analysis
+    leaves symbolic: theta carries it additively and y its square; an
+    averaged trajectory range-checks it, then ignores it. A bound whose
+    power of rho overflows or is inf reads inf, and its rows are still
+    checked. EnvelopeAccumulator fed the whole trajectory as one block.
     """
     check = EnvelopeAccumulator(type(traj.columns), map_spec, loop, trig,
                                 offset_constant)

@@ -845,6 +845,25 @@ def test_import_etseek_cli_loads_no_dataclasses_or_inspect():
     assert out.stdout == "\n"
 
 
+def test_import_etseek_cli_adds_no_heavy_stdlib_module():
+    # the benchmark's setup_s is a fresh interpreter's import of etseek.cli;
+    # these modules load only when a command needs them. The modules the
+    # import adds are compared, not those loaded: a site .pth file may load
+    # some of them, random and tempfile among them, at start-up.
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import etseek.cli; "
+         "print(*sorted(set(sys.modules) - before))"],
+        capture_output=True, text=True, env=_src_env())
+    assert out.returncode == 0, out.stderr
+    added = set(out.stdout.split())
+    assert "etseek.cli" in added
+    assert added.isdisjoint({
+        "argparse", "pickle", "signal", "json", "subprocess", "random",
+        "tempfile", "statistics", "fractions", "decimal", "dataclasses",
+        "inspect"})
+
+
 def test_module_run_under_warnings_as_errors(tmp_path):
     # the forked averaged half and its pipe must leave no ResourceWarning or
     # DeprecationWarning behind; under -W error one would fail the run or
