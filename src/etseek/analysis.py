@@ -268,9 +268,10 @@ class EnvelopeAccumulator:
 
     columns_type is the type of the blocks, StepColumns or AvgColumns. The
     run gets the envelope of each of its columns that has a row in one
-    table, in field order, as convergence_envelopes describes. report()
-    gives the verdicts so far. offset_constant must be finite and >= 0;
-    only the theta and y rows read it.
+    table, in field order, as convergence_envelopes describes; a type with
+    none of them raises ValueError, so no report passes without a check.
+    report() gives the verdicts so far. offset_constant must be finite and
+    >= 0; only the theta and y rows read it.
     """
 
     __slots__ = ("rho", "rows", "envelopes")
@@ -289,6 +290,10 @@ class EnvelopeAccumulator:
             "theta_tilde_av": (0.0, 0.5, 1.0, DECAY_SLACK)}
         self.envelopes = tuple(_Envelope(name, *table[name], rho)
                                for name in columns_type._fields if name in table)
+        if not self.envelopes:
+            raise ValueError(
+                f"{columns_type.__name__} has none of the enveloped columns "
+                f"{', '.join(table)}")
 
     def feed(self, columns) -> None:
         """Check the next rows of the run: one block of its columns."""

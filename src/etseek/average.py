@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from typing import NamedTuple
 
 from etseek import trigger as _trigger
@@ -55,16 +54,17 @@ class AvgRecord(NamedTuple):
 class AvgColumns(NamedTuple):
     """The averaged loop's per-iteration values as columns; index k is iteration k.
 
-    Fields follow AvgRecord without k, the record type of their rows;
-    triggered holds 0/1 flags.
+    Fields follow AvgRecord without k, the record type of their rows. As in
+    escore.StepColumns, each float column is a list of the floats the loop
+    computed and triggered is a bytearray of 0/1 flags.
     """
 
     record = AvgRecord
 
-    g_av: array
-    theta_tilde_av: array
-    error: array
-    triggered: array
+    g_av: list[float]
+    theta_tilde_av: list[float]
+    error: list[float]
+    triggered: bytearray
 
 
 def avg_step(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
@@ -190,11 +190,12 @@ def avg_run_blocks(map_spec: MapSpec, loop: LoopSpec,
     escore.run_blocks does; bad arguments raise here. Seeds g_av[0] =
     h_star * theta_tilde0 and makes the origin a triggering instant,
     mirroring the true loop's initialization, so row 0 never fires. As in
-    run_blocks, each block's columns are allocated at its row count and
-    filled by index. Deterministic, whatever the block size. The loop inlines avg_step() on
-    local floats, and tests/test_kernels.py holds its rows and events to
-    those composed from avg_step()'s records, bit for bit. Keep its
-    expressions and their order as they are: golden files depend on them.
+    run_blocks, each block's columns, lists of 0.0 and a zeroed bytearray,
+    are allocated at its row count and filled by index. Deterministic,
+    whatever the block size. The loop inlines avg_step() on local floats,
+    and tests/test_kernels.py holds its rows and events to those composed
+    from avg_step()'s records, bit for bit. Keep its expressions and their
+    order as they are: golden files depend on them.
     """
     if n_iters < 1 or block_rows < 1:
         raise ValueError("avg_run requires n_iters >= 1 and block_rows >= 1")
@@ -207,11 +208,10 @@ def avg_run_blocks(map_spec: MapSpec, loop: LoopSpec,
     def blocks():
         g = h_star * theta_tilde0
         held = g
-        zero = array("d", (0.0,))
         for start in range(0, n_iters, block_rows):
             rows = min(block_rows, n_iters - start)
-            columns = AvgColumns(zero * rows, zero * rows, zero * rows,
-                                 array("b", bytes(rows)))
+            columns = AvgColumns([0.0] * rows, [0.0] * rows, [0.0] * rows,
+                                 bytearray(rows))
             g_col, tt_col, e_col, fired_col = columns
             for i in range(rows):
                 e = held - g

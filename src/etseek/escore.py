@@ -111,19 +111,20 @@ class StepRecord(NamedTuple):
 class StepColumns(NamedTuple):
     """The true loop's per-iteration values as columns; index k is iteration k.
 
-    Fields follow StepRecord without k, the record type of their rows;
-    triggered holds 0/1 flags.
+    Fields follow StepRecord without k, the record type of their rows. Each
+    float column is a list of the very float objects the loop computed, so
+    reading a cell boxes nothing; triggered is a bytearray of 0/1 flags.
     """
 
     record = StepRecord
 
-    theta_hat: array
-    theta: array
-    y: array
-    gradient: array
-    error: array
-    control: array
-    triggered: array
+    theta_hat: list[float]
+    theta: list[float]
+    y: list[float]
+    gradient: list[float]
+    error: list[float]
+    control: list[float]
+    triggered: bytearray
 
 
 class RowView(Sequence):
@@ -306,8 +307,9 @@ def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
     then the next block_rows rows, and so on; the last block may be shorter.
     Bad arguments, a dither phase that overflows too, raise here, at the call.
 
-    Each block's columns are allocated at its row count, the flags zeroed,
-    and the loop fills them by index, setting a flag only on a fire.
+    Each block's columns are allocated at its row count, lists of 0.0 and a
+    zeroed bytearray of flags, and the loop fills them by index with the
+    floats it computed, setting a flag only on a fire.
     Deterministic: identical inputs give bit-identical rows, whatever the
     block size. The loop inlines step() on local floats, and
     tests/test_kernels.py holds its rows and events to those composed from
@@ -330,12 +332,11 @@ def run_blocks(map_spec: MapSpec, loop: LoopSpec, trig: _trigger.TriggerSpec,
         sin = math.sin
         th = theta_hat0
         held = initial_state(map_spec, loop, theta_hat0).held_gradient
-        zero = array("d", (0.0,))
         for start in range(0, n_iters, block_rows):
             rows = min(block_rows, n_iters - start)
-            columns = StepColumns(zero * rows, zero * rows, zero * rows,
-                                  zero * rows, zero * rows, zero * rows,
-                                  array("b", bytes(rows)))
+            columns = StepColumns([0.0] * rows, [0.0] * rows, [0.0] * rows,
+                                  [0.0] * rows, [0.0] * rows, [0.0] * rows,
+                                  bytearray(rows))
             th_col, theta_col, y_col, g_col, e_col, u_col, fired_col = columns
             for i, k in enumerate(range(start, start + rows)):
                 s = a * sin(we * k)
@@ -372,8 +373,13 @@ def event_ks(fired, start: int = 0):
     return chain((0,), ks) if start == 0 and len(fired) else ks
 
 
-def event_log(loop: LoopSpec, gradient: array, fired: array) -> EventLog:
-    """EventLog of a run from its gradient and fired columns, by event_ks."""
+def event_log(loop: LoopSpec, gradient: Sequence[float],
+              fired: Sequence[int]) -> EventLog:
+    """EventLog of a run from its gradient and fired columns, by event_ks.
+
+    Any sequences of floats and 0/1 flags will do; the log copies the
+    events' cells into its own arrays.
+    """
     ks = array("q", event_ks(fired))
     return EventLog(ks=ks, gradients=array("d", map(gradient.__getitem__, ks)),
                     gain_k=loop.gain_k, epsilon=loop.epsilon)

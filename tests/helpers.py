@@ -12,6 +12,7 @@ finiteness filter. Draws are seeded, never time-dependent.
 import math
 import random
 import struct
+from array import array
 from itertools import chain
 from pathlib import Path
 
@@ -25,9 +26,15 @@ REFERENCE_N_ITERS = _REFERENCE.n_iters
 
 
 def column_bytes(columns):
-    """Typecode and bytes of each array: two runs' columns give equal lists
-    only if every cell has the same bits, as their CSV cells would."""
-    return [(col.typecode, col.tobytes()) for col in columns]
+    """Type and bytes of each column: two runs' columns give equal lists only
+    if every cell has the same bits, as their CSV cells would.
+
+    An array gives its typecode and bytes, a bytearray of flags its bytes,
+    and a list of floats the bytes of those floats packed as doubles.
+    """
+    return [(col.typecode, col.tobytes()) if isinstance(col, array)
+            else (bytearray, bytes(col)) if isinstance(col, bytearray)
+            else (list, array("d", col).tobytes()) for col in columns]
 
 
 def float_bits(x):

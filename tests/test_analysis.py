@@ -23,6 +23,7 @@ from etseek import (
     lyapunov_sequence,
     convergence_envelopes,
 )
+from etseek.average import AvgColumns
 from helpers import draw_specs, overflows, reference_specs
 
 # Frozen from a decimal evaluation of (a*h/2)*sin(1.26)*0.1^2 at the
@@ -318,6 +319,18 @@ def test_envelopes_reject_negative_offset():
         with pytest.raises(ValueError, match="offset_constant >= 0"):
             convergence_envelopes(traj, map_spec, loop, trig,
                                   offset_constant=offset)
+
+
+def test_envelopes_refuse_a_type_with_no_enveloped_column():
+    # a report with no checks would pass; the two loops' types are accepted
+    specs = reference_specs()
+    with pytest.raises(ValueError, match="EventEntry has none of the "
+                       "enveloped columns theta, y, g_av, theta_tilde_av"):
+        analysis.EnvelopeAccumulator(escore.EventEntry, *specs)
+    for columns_type, names in ((escore.StepColumns, ["theta", "y"]),
+                                (AvgColumns, ["g_av", "theta_tilde_av"])):
+        report = analysis.EnvelopeAccumulator(columns_type, *specs).report()
+        assert [check.name for check in report.checks] == names
 
 
 def _log(ks, epsilon=0.18):

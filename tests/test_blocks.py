@@ -70,7 +70,7 @@ def _cases():
 def _join(blocks):
     """The columns of a run's blocks, concatenated."""
     blocks = list(blocks)
-    joined = type(blocks[0])(*(array(col.typecode) for col in blocks[0]))
+    joined = type(blocks[0])(*(type(col)() for col in blocks[0]))
     for block in blocks:
         for whole, part in zip(joined, block):
             whole.extend(part)
@@ -103,6 +103,23 @@ def test_run_blocks_yield_256_rows_by_default():
     for blocks in (run_blocks, avg_run_blocks):
         assert [len(b[0]) for b in blocks(*specs, 0.5, 600)] == \
             [_BLOCK_ROWS, _BLOCK_ROWS, 600 - 2 * _BLOCK_ROWS]
+
+
+@pytest.mark.parametrize("name, specs, theta_hat0, n_iters", _cases())
+def test_block_columns_are_float_lists_and_a_flag_bytearray(name, specs,
+                                                             theta_hat0, n_iters):
+    # each float column holds the loop's own float objects, so a read boxes
+    # nothing; a list shared by two columns would keep only one of them
+    theta_tilde0 = theta_hat0 - specs[0].theta_star
+    for size in (7, n_iters):
+        for block in (*run_blocks(*specs, theta_hat0, n_iters, size),
+                      *avg_run_blocks(*specs, theta_tilde0, n_iters, size)):
+            *floats, flags = block
+            assert type(flags) is bytearray and set(flags) <= {0, 1}
+            for col in floats:
+                assert type(col) is list
+                assert all(type(x) is float for x in col)
+            assert len(set(map(id, block))) == len(block)
 
 
 def test_bad_arguments_raise_at_the_call():
